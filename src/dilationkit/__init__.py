@@ -101,7 +101,6 @@ from .dilation import (  # noqa: E402
     alpha_norm,
     alpha_norm_bounds,
     build_block_dilation,
-    compress_to_probability,
     minimality_gap,
     naimark_dilate,
     omega_upper_bound,
@@ -152,7 +151,6 @@ __all__ = [
     "canonical_dual",
     "check_reconstruction",
     "classify",
-    "compress_to_probability",
     "coordinate_weight_sums",
     "dilate_dual_pair_to_riesz",
     "dilate_parseval_to_onb",

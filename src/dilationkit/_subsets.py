@@ -66,12 +66,6 @@ def batched_spectral_norms(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_subset_spectral_norm(stack: np.ndarray) -> float:
-    """max over all subsets B of || sum_{j in B} stack[j] ||, empty set included."""
-    sums = subset_sums(stack)
-    return float(batched_spectral_norms(sums).max()) if sums.shape[0] else 0.0
-
-
 def _mask_key(mask: int):
     return tuple(bit_indices(mask))
 

@@ -4,7 +4,8 @@ Subcommands load frames, framings and operator-valued measures from JSON
 files, run the library constructions, and print a deterministic report:
 sorted keys, no timestamps, all randomness drawn from --seed.  Exit code 0
 means every check passed, 1 means a check failed or a domain error occurred,
-2 means the invocation or an input file could not be parsed.
+2 means the invocation or an input file could not be parsed, or the output
+file could not be written.
 
 Input schemas (entries are bare reals or [re, im] pairs):
   frame    {"dim": d, "vectors": [vector, ...]}
@@ -39,24 +40,29 @@ from .framings import (
     rescale_sqrt,
 )
 from .linalg import lp_norm, spectral_norm
-from .ovm import Ovm, classify
+from .ovm import Ovm, _EXHAUSTIVE_ATOM_LIMIT, classify
 from .dilation import build_block_dilation, naimark_dilate, verify_dilation
 from . import rademacher
 
 
 class SchemaError(ValueError):
-    """Input file did not match the documented JSON schema."""
+    """The invocation could not be carried out as given: an input file did
+    not match the documented JSON schema or could not be read, or the output
+    file could not be written."""
 
 
 def _entry(value, where):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
-    ):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        if (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
+        ):
+            return complex(value[0], value[1])
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: entry too large for a float") from exc
     raise SchemaError(f"{where}: entries must be reals or [re, im] pairs")
 
 
@@ -167,16 +173,18 @@ def _emit(report: dict) -> int:
 
 def _write_json_atomic(path: str, doc) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, sort_keys=True, indent=2, allow_nan=False)
             handle.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def cmd_frame_analyze(args) -> int:
@@ -226,7 +234,7 @@ def cmd_ovm_dilate(args) -> int:
         "checks": [],
         "artifacts": {},
     }
-    if args.max_atoms != 16:
+    if args.max_atoms != _EXHAUSTIVE_ATOM_LIMIT:
         print(
             f"subset enumeration over 2^{ovm.atom_count} = {1 << ovm.atom_count} "
             f"subsets (max-atoms overridden to {args.max_atoms})",
@@ -405,7 +413,8 @@ def _load_doc(path: str):
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer beyond the int-to-str digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -435,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     ovm.add_argument(
         "--max-atoms",
         type=int,
-        default=16,
+        default=_EXHAUSTIVE_ATOM_LIMIT,
         help="exhaustive subset limit; beyond it verification samples subsets",
     )
     ovm.add_argument("--output", help="write the dilation triple to this JSON file")

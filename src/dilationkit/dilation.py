@@ -1,11 +1,14 @@
 """Dilations of operator-valued measures to idempotent-valued ones.
 
 A dilation triple (S, F, T) represents a measure as E(B) = S F(B) T where F
-takes idempotent values on a larger space.  build_block_dilation constructs
-one for an arbitrary measure by stacking orthonormal bases of the atom
-ranges; naimark_dilate specializes to positive measures, where T can be an
-isometry-like factor V with S = V*.  The alpha functional measures the
-minimal norm a dilation can certify and omega_upper_bound the maximal one.
+is a diagonal 0/1 projection-valued measure on a larger space: the dilation
+coordinates are partitioned into one block per atom, and F(B) projects onto
+the blocks of the atoms in B.  The partition is the stored form of F.
+build_block_dilation constructs a triple for an arbitrary measure by
+stacking orthonormal bases of the atom ranges; naimark_dilate specializes to
+positive measures, where T can be an isometry-like factor V with S = V*.
+The alpha functional measures the minimal norm a dilation can certify and
+omega_upper_bound the maximal one.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .errors import ExactModeTooLarge, IndefiniteInput, NotPositive, TooManyAtom
 from .linalg import (
     DEFAULT_REL_TOL,
     fix_column_phases,
+    numerical_rank,
     psd_factor,
     spectral_norm,
 )
@@ -207,26 +211,43 @@ def omega_upper_bound(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_T
 
 @dataclass(frozen=True)
 class DilationTriple:
-    """Factorization E(B) = left @ f(B) @ right with idempotent-valued f.
+    """Factorization E(B) = left @ F(B) @ right with F a coordinate partition.
 
-    f_atoms[j] is the f-measure of the singleton {j}; f of a subset is the
-    sum of the selected f_atoms.  In block form, coordinate indices of the
-    dilation space are grouped per atom with `block_ranks[j]` coordinates
-    for atom j, and f_atoms[j] is the 0/1 diagonal indicator of its group.
+    The dilation space is split into consecutive coordinate blocks, with
+    `block_ranks[j]` coordinates for atom j, and F(B) is the 0/1 diagonal
+    projection onto the blocks of the atoms in B.  The ranks must partition
+    the dilation space, so F(Omega) = I, F(A)F(B) = F(A intersect B) and
+    F(B)* = F(B) hold exactly for every triple that can be constructed.
+
+    Raises
+    ------
+    ValueError
+        If a block rank is negative or the ranks do not sum to both the
+        column count of `left` and the row count of `right`.
     """
 
     left: np.ndarray
     right: np.ndarray
-    f_atoms: np.ndarray
     block_ranks: tuple
+
+    def __post_init__(self):
+        ranks = tuple(int(r) for r in self.block_ranks)
+        if any(r < 0 for r in ranks):
+            raise ValueError(f"block ranks {ranks} must be non-negative")
+        if not sum(ranks) == self.left.shape[1] == self.right.shape[0]:
+            raise ValueError(
+                f"block ranks sum to {sum(ranks)}, but left has {self.left.shape[1]} "
+                f"columns and right has {self.right.shape[0]} rows"
+            )
+        object.__setattr__(self, "block_ranks", ranks)
 
     @property
     def atom_count(self) -> int:
-        return self.f_atoms.shape[0]
+        return len(self.block_ranks)
 
     @property
     def total_dim(self) -> int:
-        return self.f_atoms.shape[1]
+        return self.left.shape[1]
 
     @property
     def dim_out(self) -> int:
@@ -240,22 +261,52 @@ class DilationTriple:
     def full_mask(self) -> int:
         return (1 << self.atom_count) - 1
 
-    def f_evaluate(self, mask: int) -> np.ndarray:
+    def _selected(self, mask: int) -> np.ndarray:
+        """Boolean diagonal of F(mask): the coordinates of the atoms in mask."""
         if not 0 <= mask <= self.full_mask:
             raise ValueError(f"mask {mask} out of range for {self.atom_count} atoms")
-        out = np.zeros(self.f_atoms.shape[1:], dtype=self.f_atoms.dtype)
-        for j in range(self.atom_count):
-            if mask >> j & 1:
-                out += self.f_atoms[j]
-        return out
+        bits = [bool(mask >> j & 1) for j in range(self.atom_count)]
+        return np.repeat(bits, self.block_ranks)
+
+    def f_evaluate(self, mask: int) -> np.ndarray:
+        """Dense F(mask), the 0/1 diagonal matrix of the selected blocks."""
+        return np.diag(self._selected(mask).astype(float))
+
+    @property
+    def f_atoms(self) -> np.ndarray:
+        """Dense (n, T, T) stack of F({j}), built on each access; the
+        partition `block_ranks` is the stored form of F."""
+        return np.stack([self.f_evaluate(1 << j) for j in range(self.atom_count)])
 
     def evaluate(self, mask: int) -> np.ndarray:
-        return self.left @ self.f_evaluate(mask) @ self.right
+        keep = self._selected(mask)
+        return self.left[:, keep] @ self.right[keep]
 
     def atom_products(self) -> np.ndarray:
-        """Stack of left @ f_atoms[j] @ right; subset sums of these are the
-        dilated measure, by linearity."""
-        return np.stack([self.left @ self.f_atoms[j] @ self.right for j in range(self.atom_count)])
+        """Stack of left @ F({j}) @ right, the product of atom j's columns of
+        left and rows of right; subset sums of these are the dilated measure,
+        by linearity."""
+        return np.stack([self.evaluate(1 << j) for j in range(self.atom_count)])
+
+
+def _assemble(ovm: Ovm, factors) -> DilationTriple:
+    """Triple from per-atom factorizations E({j}) = a_j @ b_j.
+
+    left places a_0, ..., a_{n-1} side by side, right stacks b_0, ...,
+    b_{n-1}, and block j has the r_j coordinates of a_j (d_out x r_j) and
+    b_j (r_j x d_in), so left @ F(B) @ right = sum_{j in B} a_j b_j.
+    """
+    ranks = tuple(b.shape[0] for _, b in factors)
+    triple = DilationTriple(
+        left=np.zeros((ovm.dim_out, sum(ranks)), dtype=ovm.atoms.dtype),
+        right=np.zeros((sum(ranks), ovm.dim_in), dtype=ovm.atoms.dtype),
+        block_ranks=ranks,
+    )
+    for j, (a, b) in enumerate(factors):
+        block = triple._selected(1 << j)
+        triple.left[:, block] = a
+        triple.right[block] = b
+    return triple
 
 
 def build_block_dilation(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> DilationTriple:
@@ -263,45 +314,29 @@ def build_block_dilation(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> Dilation
 
     The dilation space is the direct sum over atoms of range E({j}), with an
     orthonormal basis q_j of each range.  left collects the bases side by
-    side, right stacks q_j* E({j}), and f_atoms[j] is the coordinate
-    indicator of block j, so left @ f(B) @ right telescopes to
+    side and right stacks q_j* E({j}), so left @ F(B) @ right telescopes to
     sum_{j in B} q_j q_j* E({j}) = E(B).  Atoms of rank zero contribute
-    empty blocks and are skipped; f of the full set is still the identity.
+    empty blocks; F of the full set is still the identity.
     """
-    bases = []
-    ranks = []
-    for j in range(ovm.atom_count):
-        atom = ovm.atoms[j]
+    factors = []
+    for atom in ovm.atoms:
         u, s, _ = np.linalg.svd(atom)
-        rank = int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0 else 0
-        ranks.append(rank)
-        bases.append(fix_column_phases(u[:, :rank]))
-    total = sum(ranks)
-    dtype = ovm.atoms.dtype
-    left = np.zeros((ovm.dim_out, total), dtype=dtype)
-    right = np.zeros((total, ovm.dim_in), dtype=dtype)
-    f_atoms = np.zeros((ovm.atom_count, total, total))
-    offset = 0
-    for j, (q, rank) in enumerate(zip(bases, ranks)):
-        stop = offset + rank
-        left[:, offset:stop] = q
-        right[offset:stop, :] = q.conj().T @ ovm.atoms[j]
-        f_atoms[j, offset:stop, offset:stop] = np.eye(rank)
-        offset = stop
-    return DilationTriple(left=left, right=right, f_atoms=f_atoms, block_ranks=tuple(ranks))
+        q = fix_column_phases(u[:, : numerical_rank(s, rel_tol)])
+        factors.append((q, q.conj().T @ atom))
+    return _assemble(ovm, factors)
 
 
 @dataclass(frozen=True)
 class NaimarkDilation:
-    """Positive-measure dilation E(B) = isometry* @ f(B) @ isometry.
+    """Positive-measure dilation E(B) = isometry* @ F(B) @ isometry, with F
+    the coordinate partition `block_ranks` of the isometry's rows.
 
     For a probability measure the stacked factor satisfies
     isometry* @ isometry = I, i.e. it embeds the space isometrically and the
-    measure is the compression of the diagonal idempotent measure f.
+    measure is the compression of the diagonal idempotent measure F.
     """
 
     isometry: np.ndarray
-    f_atoms: np.ndarray
     block_ranks: tuple
 
     @property
@@ -312,7 +347,6 @@ class NaimarkDilation:
         return DilationTriple(
             left=self.isometry.conj().T,
             right=self.isometry,
-            f_atoms=self.f_atoms,
             block_ranks=self.block_ranks,
         )
 
@@ -337,75 +371,18 @@ def naimark_dilate(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> NaimarkDilatio
     if not ovm.is_square:
         raise ValueError("positive measures must be square")
     factors = []
-    ranks = []
     for j in range(ovm.atom_count):
         atom = ovm.atoms[j]
         herm_defect = spectral_norm(atom - atom.conj().T)
         if herm_defect > rel_tol * max(1.0, spectral_norm(atom)):
             raise NotPositive(j, f"atom {j} is not Hermitian (defect {herm_defect:.3e})")
         try:
-            v, rank = psd_factor(atom, rel_tol)
+            v, _ = psd_factor(atom, rel_tol)
         except IndefiniteInput as exc:
             raise NotPositive(j, f"atom {j} is not positive semidefinite: {exc}") from exc
-        factors.append(v)
-        ranks.append(rank)
-    total = sum(ranks)
-    isometry = np.zeros((total, ovm.dim_in), dtype=ovm.atoms.dtype)
-    f_atoms = np.zeros((ovm.atom_count, total, total))
-    offset = 0
-    for j, (v, rank) in enumerate(zip(factors, ranks)):
-        stop = offset + rank
-        isometry[offset:stop] = v
-        f_atoms[j, offset:stop, offset:stop] = np.eye(rank)
-        offset = stop
-    return NaimarkDilation(isometry=isometry, f_atoms=f_atoms, block_ranks=tuple(ranks))
-
-
-def compress_to_probability(triple: DilationTriple) -> DilationTriple:
-    """Restrict a triple to the range of f(full set), normalizing f to a
-    probability measure.
-
-    With r an orthonormal basis of range f(Omega), the compressed triple is
-    (left r, r* f r, r* f(Omega) right); its f of the full set is the
-    identity and it reproduces the same measure, with
-    left_hat @ right_hat = E(Omega).  When every f atom is a 0/1 coordinate
-    indicator the compression just drops the unused coordinates, exactly.
-    """
-    f_total = triple.f_evaluate(triple.full_mask)
-    diag = np.diagonal(f_total)
-    coordinate = (
-        np.count_nonzero(f_total - np.diag(diag)) == 0
-        and np.all((diag == 0.0) | (diag == 1.0))
-        and all(
-            np.count_nonzero(f - np.diag(np.diagonal(f))) == 0
-            and np.all((np.diagonal(f) == 0.0) | (np.diagonal(f) == 1.0))
-            for f in triple.f_atoms
-        )
-    )
-    if coordinate:
-        keep = np.flatnonzero(diag == 1.0)
-        f_new = triple.f_atoms[:, keep][:, :, keep]
-        ranks = tuple(int(np.diagonal(f).sum()) for f in f_new)
-        return DilationTriple(
-            left=triple.left[:, keep],
-            right=triple.right[keep, :],
-            f_atoms=f_new,
-            block_ranks=ranks,
-        )
-    u, s, _ = np.linalg.svd(f_total)
-    rank = int(np.count_nonzero(s > 0.5))
-    basis = fix_column_phases(u[:, :rank])
-    f_new = np.stack([basis.conj().T @ f @ basis for f in triple.f_atoms])
-    ranks = tuple(
-        int(np.count_nonzero(np.linalg.svd(f, compute_uv=False) > 0.5)) if min(f.shape) else 0
-        for f in f_new
-    )
-    return DilationTriple(
-        left=triple.left @ basis,
-        right=basis.conj().T @ (f_total @ triple.right),
-        f_atoms=f_new,
-        block_ranks=ranks,
-    )
+        factors.append((v.conj().T, v))
+    triple = _assemble(ovm, factors)
+    return NaimarkDilation(isometry=triple.right, block_ranks=triple.block_ranks)
 
 
 @dataclass(frozen=True)
@@ -413,13 +390,14 @@ class DilationReport:
     """Residuals and invariants of a triple checked against a measure.
 
     All residuals are spectral norms.  `eval_residual` is the maximum of
-    ||E(B) - left f(B) right|| over the subsets examined;
-    `f_multiplicative_residual` covers f(A)f(B) = f(A intersect B) through
-    atom pairs, which is equivalent by additivity.  The probability fields
-    are None unless the measure of the full set is the identity, in which
-    case they certify that right @ left @ f(Omega) and f(Omega) @ right @ left
-    are idempotent.  `block_rank_pairs` lists (rank f({j}), rank E({j}));
-    a structure-preserving dilation keeps them equal.
+    ||E(B) - left F(B) right|| over the subsets examined.  The F residuals
+    (`f_total_residual` for F(Omega) = I, `f_multiplicative_residual` for
+    F(A)F(B) = F(A intersect B), `f_self_adjoint_residual` for F* = F) are
+    exactly zero, because a triple's F is a coordinate partition.  The
+    probability fields are None unless the measure of the full set is the
+    identity, in which case they certify that right @ left is idempotent.
+    `block_rank_pairs` lists (rank F({j}), rank E({j})); a
+    structure-preserving dilation keeps them equal.
     """
 
     eval_residual: float
@@ -476,51 +454,39 @@ def verify_dilation(
             for j in _subsets.bit_indices(mask):
                 delta += deltas[j]
             eval_residual = max(eval_residual, spectral_norm(delta))
-    f_total = triple.f_evaluate(triple.full_mask)
-    eye = np.eye(triple.total_dim)
-    f_total_residual = spectral_norm(f_total - eye)
-    mult = 0.0
-    for i in range(n):
-        for j in range(n):
-            prod = triple.f_atoms[i] @ triple.f_atoms[j]
-            if i == j:
-                prod = prod - triple.f_atoms[i]
-            mult = max(mult, spectral_norm(prod))
-    self_adj = max(
-        (spectral_norm(f - f.conj().T) for f in triple.f_atoms), default=0.0
-    )
     rank_left = int(np.linalg.matrix_rank(triple.left)) if triple.left.size else 0
     if triple.right.size:
         right_min_singular = float(np.linalg.svd(triple.right, compute_uv=False).min())
     else:
         right_min_singular = 0.0
-    pairs = []
-    for j in range(n):
-        f_rank = int(np.count_nonzero(np.linalg.svd(triple.f_atoms[j], compute_uv=False) > 0.5)) if triple.total_dim else 0
-        s = np.linalg.svd(ovm.atoms[j], compute_uv=False)
-        atom_rank = int(np.count_nonzero(s > DEFAULT_REL_TOL * s[0])) if s.size and s[0] > 0 else 0
-        pairs.append((f_rank, atom_rank))
+    pairs = tuple(
+        (f_rank, numerical_rank(np.linalg.svd(atom, compute_uv=False)))
+        for f_rank, atom in zip(triple.block_ranks, ovm.atoms)
+    )
     e_total_residual = None
     prob_idem = None
     st_residual = None
     if ovm.is_square:
         e_total = ovm.evaluate(ovm.full_mask)
-        e_total_residual = spectral_norm(e_total - np.eye(ovm.dim_out, dtype=ovm.atoms.dtype))
-        st_residual = spectral_norm(triple.left @ triple.right - e_total)
+        eye = np.eye(ovm.dim_out, dtype=ovm.atoms.dtype)
+        e_total_residual = spectral_norm(e_total - eye)
+        st = triple.left @ triple.right
+        st_residual = spectral_norm(st - e_total)
         if e_total_residual <= 1e-8:
-            g1 = triple.right @ triple.left @ f_total
-            g2 = f_total @ triple.right @ triple.left
-            prob_idem = max(
-                spectral_norm(g1 @ g1 - g1), spectral_norm(g2 @ g2 - g2)
-            )
+            # With g = right @ left, g @ g - g = right @ (st - I) @ left.  The
+            # Q factors of right = Q R and left* = Q' R' have orthonormal
+            # columns, so its norm is that of the small R (st - I) R'*.
+            r_right = np.linalg.qr(triple.right, mode="r")
+            r_left = np.linalg.qr(triple.left.conj().T, mode="r")
+            prob_idem = spectral_norm(r_right @ (st - eye) @ r_left.conj().T)
     return DilationReport(
         eval_residual=eval_residual,
-        f_total_residual=f_total_residual,
-        f_multiplicative_residual=mult,
-        f_self_adjoint_residual=self_adj,
+        f_total_residual=0.0,
+        f_multiplicative_residual=0.0,
+        f_self_adjoint_residual=0.0,
         rank_left=rank_left,
         right_min_singular=right_min_singular,
-        block_rank_pairs=tuple(pairs),
+        block_rank_pairs=pairs,
         ranks_match=all(a == b for a, b in pairs),
         e_total_residual=e_total_residual,
         probability_idempotent_residual=prob_idem,
@@ -532,8 +498,8 @@ def verify_dilation(
 @dataclass(frozen=True)
 class MinimalityGap:
     """alpha <= constant * triple_norm, the cost of routing a representation
-    through a dilation: `constant` is max_B ||left f(B)|| and `triple_norm`
-    the norm of sum_i coeffs[i] f(masks[i]) right vectors[i]."""
+    through a dilation: `constant` is max_B ||left F(B)|| and `triple_norm`
+    the norm of sum_i coeffs[i] F(masks[i]) right vectors[i]."""
 
     alpha: float
     triple_norm: float
@@ -546,11 +512,13 @@ def minimality_gap(ovm: Ovm, rep: Representation, triple: DilationTriple) -> Min
     Raises
     ------
     TooManyAtoms
-        If the measure has more than 16 atoms (the constant needs an
-        exhaustive subset enumeration).
+        If the measure has more than _EXHAUSTIVE_ATOM_LIMIT atoms (the
+        constant needs an exhaustive subset enumeration).
     """
     if ovm.atom_count > _EXHAUSTIVE_ATOM_LIMIT:
-        raise TooManyAtoms("minimality constant needs at most 16 atoms")
+        raise TooManyAtoms(
+            f"minimality constant needs at most {_EXHAUSTIVE_ATOM_LIMIT} atoms"
+        )
     alpha = alpha_norm(ovm, rep).value
     acc = np.zeros(
         triple.total_dim,
@@ -558,9 +526,9 @@ def minimality_gap(ovm: Ovm, rep: Representation, triple: DilationTriple) -> Min
     )
     for i in range(rep.term_count):
         lifted = triple.right @ rep.vectors[i]
-        acc = acc + rep.coeffs[i] * (triple.f_evaluate(rep.masks[i]) @ lifted)
+        acc = acc + rep.coeffs[i] * (lifted * triple._selected(rep.masks[i]))
     triple_norm = float(np.linalg.norm(acc))
-    stack = np.stack([triple.left @ triple.f_atoms[j] for j in range(triple.atom_count)])
+    stack = np.stack([triple.left * triple._selected(1 << j) for j in range(triple.atom_count)])
     constant = 0.0
     for _, chunk in _subsets.iter_subset_sum_chunks(stack, chunk_bits=10):
         constant = max(constant, float(_subsets.batched_spectral_norms(chunk).max()))

@@ -79,6 +79,15 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def numerical_rank(s: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> int:
+    """Count of singular values above ``rel_tol`` times the largest.
+
+    `s` is descending, as ``numpy.linalg.svd`` returns it; an empty or zero
+    spectrum has rank 0.
+    """
+    return int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0 else 0
+
+
 def fix_column_phases(q: np.ndarray) -> np.ndarray:
     """Return `q` with each column scaled by a unit modulus so that its
     largest-modulus entry (first such index on ties) is real and positive.

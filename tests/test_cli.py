@@ -181,6 +181,27 @@ class TestOvmDilate:
         total = left @ f_total @ right
         assert np.abs(total - np.eye(2)).max() <= 1e-10
 
+    def test_output_into_missing_directory(self, capsys, tmp_path, povm):
+        out = tmp_path / "missing" / "triple.json"
+        code, report, err = run(capsys, "ovm-dilate", povm, "--naimark", "--output", str(out))
+        assert code == 2
+        assert report is None
+        assert err.startswith(f"error: cannot write {out}")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path):
+        # 401 digits overflow a float; 5000 exceed the int-to-str digit limit
+        for digits in (401, 5000):
+            path = tmp_path / f"big{digits}.json"
+            path.write_text(
+                '{"dim_in": 1, "dim_out": 1, "atoms": [[[%s]]]}' % ("9" * digits),
+                encoding="utf-8",
+            )
+            code, report, err = run(capsys, "ovm-dilate", str(path), "--block")
+            assert code == 2
+            assert report is None
+            assert err.startswith("error: ")
+
     def test_max_atoms_override_prints_cost(self, capsys, povm):
         code, _, err = run(capsys, "ovm-dilate", povm, "--block", "--max-atoms", "8")
         assert code == 0

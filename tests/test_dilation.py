@@ -12,7 +12,6 @@ from dilationkit import (
     alpha_norm,
     alpha_norm_bounds,
     build_block_dilation,
-    compress_to_probability,
     example_e11,
     induced_from_framing,
     minimality_gap,
@@ -209,23 +208,23 @@ class TestVerify:
         bad = DilationTriple(
             left=triple.left + 1e-3,
             right=triple.right,
-            f_atoms=triple.f_atoms,
             block_ranks=triple.block_ranks,
         )
         assert verify_dilation(v, bad).eval_residual > 1e-4
 
-    def test_detects_non_idempotent_f(self, rng):
-        v = random_general_ovm(rng, 3, 2, 2)
-        triple = build_block_dilation(v)
+    def test_probability_residual_matches_dense_form(self, rng):
+        v = random_positive_probability_ovm(rng, 4, 3, True)
+        triple = naimark_dilate(v).as_triple()
         bad = DilationTriple(
             left=triple.left,
-            right=triple.right,
-            f_atoms=0.9 * triple.f_atoms,
+            right=triple.right * 1.01,
             block_ranks=triple.block_ranks,
         )
+        g = bad.right @ bad.left
+        dense = spectral_norm(g @ g - g)
+        assert dense > 1e-3
         report = verify_dilation(v, bad)
-        assert report.f_multiplicative_residual > 1e-2
-        assert report.f_total_residual > 1e-2
+        assert report.probability_idempotent_residual == pytest.approx(dense, rel=1e-12)
 
     def test_atom_count_mismatch(self, rng):
         v = random_general_ovm(rng, 3, 2, 2)
@@ -277,56 +276,76 @@ class TestNaimark:
             naimark_dilate(random_general_ovm(rng, 3, 3, 2))
 
 
-def pad_with_dead_coordinate(triple):
-    t = triple.total_dim
-    left = np.hstack([triple.left, np.zeros((triple.dim_out, 1), dtype=triple.left.dtype)])
-    right = np.vstack([triple.right, np.zeros((1, triple.dim_in), dtype=triple.right.dtype)])
-    f_atoms = np.zeros((triple.atom_count, t + 1, t + 1))
-    f_atoms[:, :t, :t] = triple.f_atoms
-    return DilationTriple(left=left, right=right, f_atoms=f_atoms, block_ranks=triple.block_ranks)
+def dense_f_reference(block_ranks):
+    """Dense F tensor built the way triples used to store it: one identity
+    block per atom on the diagonal, zero blocks for rank-zero atoms."""
+    total = sum(block_ranks)
+    f_atoms = np.zeros((len(block_ranks), total, total))
+    offset = 0
+    for j, rank in enumerate(block_ranks):
+        f_atoms[j, offset : offset + rank, offset : offset + rank] = np.eye(rank)
+        offset += rank
+    return f_atoms
 
 
-class TestCompression:
-    def test_coordinate_path_is_bitwise(self, rng):
-        v = random_positive_probability_ovm(rng, 4, 3)
-        triple = naimark_dilate(v).as_triple()
-        padded = pad_with_dead_coordinate(triple)
-        squeezed = compress_to_probability(padded)
-        assert np.array_equal(squeezed.left, triple.left)
-        assert np.array_equal(squeezed.right, triple.right)
-        assert np.array_equal(squeezed.f_atoms, triple.f_atoms)
-        assert squeezed.block_ranks == triple.block_ranks
+def triples_with_zero_atoms(rng):
+    """A block and a Naimark triple, each with a rank-zero atom."""
+    general = random_general_ovm(rng, 3, 3, 2, complex_field=True)
+    povm = random_positive_probability_ovm(rng, 3, 3, True)
+    block = Ovm(np.insert(general.atoms, 1, 0.0, axis=0))
+    positive = Ovm(np.insert(povm.atoms, 2, 0.0, axis=0))
+    return [
+        (block, build_block_dilation(block)),
+        (positive, naimark_dilate(positive).as_triple()),
+    ]
 
-    def test_general_path_after_rotation(self, rng):
-        v = random_positive_probability_ovm(rng, 3, 2)
-        padded = pad_with_dead_coordinate(naimark_dilate(v).as_triple())
-        t = padded.total_dim
-        q, _ = np.linalg.qr(rng.normal(size=(t, t)))
-        rotated = DilationTriple(
-            left=padded.left @ q,
-            right=q.conj().T @ padded.right,
-            f_atoms=np.stack([q.conj().T @ f @ q for f in padded.f_atoms]),
-            block_ranks=padded.block_ranks,
-        )
-        squeezed = compress_to_probability(rotated)
-        assert squeezed.total_dim == t - 1
-        f_total = squeezed.f_evaluate(squeezed.full_mask)
-        assert spectral_norm(f_total - np.eye(t - 1)) <= 1e-12
-        for mask in range(8):
-            assert spectral_norm(squeezed.evaluate(mask) - v.evaluate(mask)) <= 1e-10
-        st = squeezed.left @ squeezed.right
-        assert spectral_norm(st - v.evaluate(v.full_mask)) <= 1e-10
 
-    def test_probability_report_after_compression(self, rng):
-        v = random_positive_probability_ovm(rng, 4, 3)
-        squeezed = compress_to_probability(pad_with_dead_coordinate(naimark_dilate(v).as_triple()))
-        report = verify_dilation(v, squeezed)
-        assert report.f_total_residual <= 1e-12
-        assert report.probability_idempotent_residual <= 1e-10
-        assert report.st_residual <= 1e-10
+class TestTriplePartition:
+    def test_rejects_non_partition_block_ranks(self):
+        left, right = np.zeros((2, 3)), np.zeros((3, 2))
+        for ranks in [(2, -1, 2), (1, 1), (2, 1, 1)]:
+            with pytest.raises(ValueError):
+                DilationTriple(left=left, right=right, block_ranks=ranks)
+        with pytest.raises(ValueError):
+            DilationTriple(left=left, right=np.zeros((4, 2)), block_ranks=(1, 2))
+        with pytest.raises(ValueError):
+            DilationTriple(left=left, right=np.zeros((4, 2)), block_ranks=(2, 2))
+
+    def test_f_atoms_match_dense_reference(self, rng):
+        for _, triple in triples_with_zero_atoms(rng):
+            assert 0 in triple.block_ranks
+            reference = dense_f_reference(triple.block_ranks)
+            assert triple.f_atoms.dtype == reference.dtype
+            assert np.array_equal(triple.f_atoms, reference)
+            for mask in range(1 << triple.atom_count):
+                selected = [j for j in range(triple.atom_count) if mask >> j & 1]
+                assert np.array_equal(triple.f_evaluate(mask), reference[selected].sum(axis=0))
+
+    def test_slices_match_dense_products(self, rng):
+        for _, triple in triples_with_zero_atoms(rng):
+            f_atoms = dense_f_reference(triple.block_ranks)
+            for j, product in enumerate(triple.atom_products()):
+                dense = triple.left @ f_atoms[j] @ triple.right
+                npt.assert_allclose(product, dense, rtol=0, atol=1e-14)
+            for mask in range(1 << triple.atom_count):
+                dense = triple.left @ triple.f_evaluate(mask) @ triple.right
+                npt.assert_allclose(triple.evaluate(mask), dense, rtol=0, atol=1e-14)
 
 
 class TestMinimality:
+    def test_matches_dense_reference(self, rng):
+        for ovm, triple in triples_with_zero_atoms(rng):
+            rep = random_representation(rng, ovm, 3, complex_field=True)
+            gap = minimality_gap(ovm, rep, triple)
+            masks = range(1 << triple.atom_count)
+            constant = max(spectral_norm(triple.left @ triple.f_evaluate(m)) for m in masks)
+            acc = sum(
+                c * (triple.f_evaluate(m) @ triple.right @ v)
+                for c, m, v in zip(rep.coeffs, rep.masks, rep.vectors)
+            )
+            assert gap.constant == pytest.approx(constant, rel=1e-12)
+            assert gap.triple_norm == pytest.approx(float(np.linalg.norm(acc)), rel=1e-12)
+
     def test_alpha_bounded_through_block_dilation(self, rng):
         for _ in range(5):
             v = random_general_ovm(rng, 5, 3, 3, complex_field=True)
