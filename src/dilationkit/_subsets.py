@@ -1,12 +1,20 @@
-"""Internal helpers for exhaustive subset enumeration.
+"""Internal helpers for subset suprema.
 
 Masks are Python ints; bit j set means atom j is in the subset.  All
 enumeration is done with the doubling construction S[2^k : 2^(k+1)] =
 S[0 : 2^k] + item[k], so index m of a result array is the sum over the
 subset encoded by m.
+
+`subset_sup` is the one engine behind every "for every subset B" check on
+a measure: it certifies a supremum from atom-level bounds first, and
+enumerates or samples subset sums only for the statistics it could not
+decide.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -107,3 +115,124 @@ def max_subset_norm(vectors: np.ndarray):
                 best_key = key
                 best_mask = mask
     return float(np.sqrt(max(best_sq, 0.0))), best_mask
+
+
+def masked_sums(stack: np.ndarray, masks) -> np.ndarray:
+    """Subset sums of `stack` for each mask in `masks`, each accumulated
+    from zero in atom index order, the order Ovm.evaluate uses."""
+    n = stack.shape[0]
+    selected = np.array(
+        [[mask >> j & 1 for j in range(n)] for mask in masks], dtype=bool
+    ).reshape(len(masks), n)
+    out = np.zeros((len(masks),) + stack.shape[1:], dtype=stack.dtype)
+    for j in range(n):
+        out[selected[:, j]] += stack[j]
+    return out
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """A batched subset statistic with a certified atom-level bound.
+
+    `values` maps a (m, r, c) stack of subset sums to their m real values.
+    `bound` is an upper bound on the value at every subset, proved from the
+    atoms alone by the caller.  A subset passes when its value is at most
+    `threshold`; None means only the supremum itself is wanted.
+    """
+
+    name: str
+    values: Callable[[np.ndarray], np.ndarray]
+    bound: float
+    threshold: float | None = None
+
+
+@dataclass(frozen=True)
+class SubsetSup:
+    """Enclosure lower <= sup_B value(E(B)) <= upper of one statistic.
+
+    `lower` is the value at `witness_mask`, the smallest maximizing mask
+    among the `subsets_examined` subsets.  `mode` says how the enclosure was
+    settled:
+
+    - "certified": from the empty set, the singletons, the full set and
+      the atom-level bound alone;
+    - "exhaustive": over all 2^n subsets, so lower == upper is the exact
+      maximum;
+    - "sampled": over a given mask set, so lower is the sampled maximum and
+      upper is still the atom-level bound.
+
+    Against a threshold t the statistic passes iff lower <= t.  The verdict
+    is two-sided except in "sampled" mode, where a pass only says that no
+    sampled subset failed.
+    """
+
+    lower: float
+    upper: float
+    witness_mask: int
+    subsets_examined: int
+    mode: str
+
+    @property
+    def witness_atoms(self) -> list:
+        return bit_indices(self.witness_mask)
+
+
+def _peak(stat: Statistic, sums: np.ndarray, masks):
+    values = stat.values(sums)
+    k = int(np.argmax(values))
+    return float(values[k]), masks[k]
+
+
+def subset_sup(stack: np.ndarray, stats, sample_masks=None) -> dict:
+    """Supremum over all subsets B of each statistic at sum_{j in B} stack[j].
+
+    Every statistic is first evaluated at the genuine subsets the atoms give
+    directly: the empty set, the singletons and the full set.  That
+    gives `lower`, and the statistic's bound gives `upper`.  A statistic is
+    settled there when its threshold lies outside [lower, upper), or, with
+    no threshold, when lower == upper.  The statistics left open share one
+    pass over subset sums: all 2^n of them in chunks when `sample_masks` is
+    None, otherwise the given masks together with the genuine subsets.
+
+    Returns a dict from statistic name to SubsetSup.
+    """
+    n = stack.shape[0]
+    genuine = sorted({0, (1 << n) - 1, *(1 << j for j in range(n))})
+    sums = masked_sums(stack, genuine)
+    results = {}
+    open_stats = []
+    for stat in stats:
+        lower, witness = _peak(stat, sums, genuine)
+        # a bound evaluated in floating point can round below a value it
+        # provably dominates
+        upper = max(float(stat.bound), lower)
+        results[stat.name] = SubsetSup(lower, upper, witness, len(genuine), "certified")
+        if stat.threshold is None:
+            undecided = lower < upper
+        else:
+            undecided = lower <= stat.threshold < upper
+        if undecided:
+            open_stats.append(stat)
+    if not open_stats:
+        return results
+    if sample_masks is None:
+        passes = (
+            (range(base, base + len(chunk)), chunk)
+            for base, chunk in iter_subset_sum_chunks(stack)
+        )
+        examined, mode = 1 << n, "exhaustive"
+    else:
+        masks = sorted(set(sample_masks).union(genuine))
+        passes = [(masks, masked_sums(stack, masks))]
+        examined, mode = len(masks), "sampled"
+    peaks = {stat.name: (-np.inf, 0) for stat in open_stats}
+    for masks, sums in passes:
+        for stat in open_stats:
+            peaks[stat.name] = max(
+                peaks[stat.name], _peak(stat, sums, masks), key=lambda peak: peak[0]
+            )
+    for stat in open_stats:
+        lower, witness = peaks[stat.name]
+        upper = lower if mode == "exhaustive" else max(results[stat.name].upper, lower)
+        results[stat.name] = SubsetSup(lower, upper, witness, examined, mode)
+    return results

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -248,8 +249,9 @@ def cmd_ovm_dilate(args) -> int:
         report["checks"].append(_check("isometry_gram_residual", gram_residual, 1e-10))
     else:
         triple = build_block_dilation(ovm, rel_tol=args.tol)
+    eval_tol = 1e-10
     verdict = verify_dilation(
-        ovm, triple, seed=args.seed, max_exhaustive_atoms=args.max_atoms
+        ovm, triple, eval_tol, seed=args.seed, max_exhaustive_atoms=args.max_atoms
     )
     cls = classify(
         ovm,
@@ -266,7 +268,7 @@ def cmd_ovm_dilate(args) -> int:
         "ovm_norm": cls.ovm_norm,
         "sampled": cls.sampled,
     }
-    report["checks"].append(_check("eval_residual", verdict.eval_residual, 1e-10))
+    report["checks"].append(_check("eval_residual", verdict.eval_residual, eval_tol))
     report["checks"].append(_check("f_total_residual", verdict.f_total_residual, 1e-10))
     report["checks"].append(
         _check("f_multiplicative_residual", verdict.f_multiplicative_residual, 1e-10)
@@ -280,6 +282,16 @@ def cmd_ovm_dilate(args) -> int:
         )
     )
     report["artifacts"]["sampled"] = verdict.sampled
+    report["artifacts"]["subset_sup"] = {
+        name: {
+            "mode": sup.mode,
+            "lower": sup.lower,
+            "upper": sup.upper,
+            "subsets_examined": sup.subsets_examined,
+            "witness_atoms": sup.witness_atoms,
+        }
+        for name, sup in {**cls.subset_sup, **verdict.subset_sup}.items()
+    }
     report["artifacts"]["block_ranks"] = list(triple.block_ranks)
     report["artifacts"]["total_dim"] = triple.total_dim
     if args.output:
@@ -407,14 +419,30 @@ def cmd_chl5(args) -> int:
     return _emit(report)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is outside the float range")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_doc(path: str):
+    """Parse an input file as RFC 8259 JSON: the NaN and Infinity literals
+    Python's json accepts, and numbers that overflow a float, are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(
+                handle, parse_float=_finite_float, parse_constant=_reject_constant
+            )
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        # JSONDecodeError, or an integer beyond the int-to-str digit limit
+        # JSONDecodeError, a non-finite number, or an integer beyond the
+        # int-to-str digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -389,15 +389,22 @@ def naimark_dilate(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> NaimarkDilatio
 class DilationReport:
     """Residuals and invariants of a triple checked against a measure.
 
-    All residuals are spectral norms.  `eval_residual` is the maximum of
-    ||E(B) - left F(B) right|| over the subsets examined.  The F residuals
-    (`f_total_residual` for F(Omega) = I, `f_multiplicative_residual` for
-    F(A)F(B) = F(A intersect B), `f_self_adjoint_residual` for F* = F) are
-    exactly zero, because a triple's F is a coordinate partition.  The
-    probability fields are None unless the measure of the full set is the
-    identity, in which case they certify that right @ left is idempotent.
-    `block_rank_pairs` lists (rank F({j}), rank E({j})); a
-    structure-preserving dilation keeps them equal.
+    All residuals are spectral norms.  `eval_residual` bounds
+    sup_B ||E(B) - left F(B) right|| against the threshold `tol` of
+    verify_dilation: on a certified pass it is the certified upper bound
+    sum_j ||Delta_j||, with Delta_j = E({j}) - left F({j}) right; on a
+    certified fail it is the value at the witness subset; when the subsets
+    are enumerated it is the exact maximum, and when they are sampled the
+    sampled maximum.  `subset_sup["eval_residual"]` holds the enclosure,
+    its mode and its witness.  The F residuals (`f_total_residual` for
+    F(Omega) = I, `f_multiplicative_residual` for F(A)F(B) = F(A intersect
+    B), `f_self_adjoint_residual` for F* = F) are exactly zero, because a
+    triple's F is a coordinate partition.  The probability fields are None
+    unless the measure of the full set is the identity, in which case they
+    certify that right @ left is idempotent.  `block_rank_pairs` lists
+    (rank F({j}), rank E({j})); a structure-preserving dilation keeps them
+    equal.  `sampled` is True when the atom count is above the exhaustive
+    limit; a certified eval_residual verdict is two-sided even then.
     """
 
     eval_residual: float
@@ -412,11 +419,13 @@ class DilationReport:
     probability_idempotent_residual: float | None
     st_residual: float | None
     sampled: bool
+    subset_sup: dict
 
 
 def verify_dilation(
     ovm: Ovm,
     triple: DilationTriple,
+    tol: float = 1e-10,
     *,
     sample_count: int = 1000,
     seed: int = 0,
@@ -425,9 +434,14 @@ def verify_dilation(
     """Measure how well a triple dilates a measure; raises nothing on bad
     triples, the residuals simply grow.
 
-    Subset enumeration is exhaustive for measures with at most
-    `max_exhaustive_atoms` atoms and sampled above that (empty, full,
-    singletons and random masks), recorded in the `sampled` flag.
+    The eval residual is certified against `tol` first.  By linearity
+    E(B) - left F(B) right = sum_{j in B} Delta_j, so every subset's
+    residual is at most sum_j ||Delta_j||, while the empty set, the
+    singletons and the full set give genuine values.  Only when `tol` lies
+    between the two are subsets enumerated: exhaustively for measures with
+    at most `max_exhaustive_atoms` atoms, above that on the empty set, the
+    full set, the singletons and `sample_count` random masks, recorded in
+    the `sampled` flag.
     """
     if triple.atom_count != ovm.atom_count:
         raise ValueError("triple and measure have different atom counts")
@@ -436,24 +450,20 @@ def verify_dilation(
     n = ovm.atom_count
     deltas = ovm.atoms - triple.atom_products()
     sampled = n > max_exhaustive_atoms
-    if not sampled:
-        eval_residual = 0.0
-        for _, chunk in _subsets.iter_subset_sum_chunks(deltas):
-            eval_residual = max(
-                eval_residual, float(_subsets.batched_spectral_norms(chunk).max())
-            )
-    else:
+    masks = None
+    if sampled:
         rng = Xorshift(seed)
-        masks = {0, ovm.full_mask}
-        masks.update(1 << i for i in range(n))
-        for _ in range(sample_count):
-            masks.add(rng.mask(n))
-        eval_residual = 0.0
-        for mask in sorted(masks):
-            delta = np.zeros((ovm.dim_out, ovm.dim_in), dtype=deltas.dtype)
-            for j in _subsets.bit_indices(mask):
-                delta += deltas[j]
-            eval_residual = max(eval_residual, spectral_norm(delta))
+        masks = {rng.mask(n) for _ in range(sample_count)}
+    residual = _subsets.Statistic(
+        "eval_residual",
+        _subsets.batched_spectral_norms,
+        float(_subsets.batched_spectral_norms(deltas).sum()),
+        tol,
+    )
+    sup = _subsets.subset_sup(deltas, [residual], masks)
+    result = sup["eval_residual"]
+    certified_pass = result.mode == "certified" and result.upper <= tol
+    eval_residual = result.upper if certified_pass else result.lower
     rank_left = int(np.linalg.matrix_rank(triple.left)) if triple.left.size else 0
     if triple.right.size:
         right_min_singular = float(np.linalg.svd(triple.right, compute_uv=False).min())
@@ -492,6 +502,7 @@ def verify_dilation(
         probability_idempotent_residual=prob_idem,
         st_residual=st_residual,
         sampled=sampled,
+        subset_sup=sup,
     )
 
 
@@ -512,12 +523,11 @@ def minimality_gap(ovm: Ovm, rep: Representation, triple: DilationTriple) -> Min
     Raises
     ------
     TooManyAtoms
-        If the measure has more than _EXHAUSTIVE_ATOM_LIMIT atoms (the
-        constant needs an exhaustive subset enumeration).
+        If the measure has more than _EXHAUSTIVE_ATOM_LIMIT atoms.
     """
     if ovm.atom_count > _EXHAUSTIVE_ATOM_LIMIT:
         raise TooManyAtoms(
-            f"minimality constant needs at most {_EXHAUSTIVE_ATOM_LIMIT} atoms"
+            f"minimality gap needs at most {_EXHAUSTIVE_ATOM_LIMIT} atoms"
         )
     alpha = alpha_norm(ovm, rep).value
     acc = np.zeros(
@@ -528,8 +538,7 @@ def minimality_gap(ovm: Ovm, rep: Representation, triple: DilationTriple) -> Min
         lifted = triple.right @ rep.vectors[i]
         acc = acc + rep.coeffs[i] * (lifted * triple._selected(rep.masks[i]))
     triple_norm = float(np.linalg.norm(acc))
-    stack = np.stack([triple.left * triple._selected(1 << j) for j in range(triple.atom_count)])
-    constant = 0.0
-    for _, chunk in _subsets.iter_subset_sum_chunks(stack, chunk_bits=10):
-        constant = max(constant, float(_subsets.batched_spectral_norms(chunk).max()))
+    # ||left F(B)|| <= ||left|| ||F(B)|| <= ||left||, with equality at
+    # B = Omega because F(Omega) = I.
+    constant = spectral_norm(triple.left)
     return MinimalityGap(alpha=alpha, triple_norm=triple_norm, constant=constant)

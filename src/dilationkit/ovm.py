@@ -8,7 +8,7 @@ and rank-one measures convert back and forth to framings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,10 +82,15 @@ def dual_ovm(ovm: Ovm) -> Ovm:
 
 @dataclass(frozen=True)
 class OvmClassification:
-    """Classification flags, each meaning 'within tolerance on every subset
-    examined'.  `sampled` is True when subsets were sampled rather than
-    exhaustively enumerated, in which case the flags are one-sided: a False
-    is definitive, a True only says no violation was found.
+    """Classification flags, each meaning 'within tolerance on every subset'.
+
+    `sampled` is True when the measure is classified in sampled mode (its
+    atom count is above the exhaustive limit, or sampling was requested).
+    It does not make every flag one-sided: `subset_sup` maps each subset
+    statistic behind the flags to its SubsetSup, and a flag whose statistic
+    has mode "certified" or "exhaustive" is two-sided.  Only a flag whose
+    statistic has mode "sampled" is one-sided: a False is definitive, a True
+    only says that no sampled subset violated it.
     """
 
     is_probability: bool
@@ -95,6 +100,7 @@ class OvmClassification:
     is_self_adjoint: bool
     ovm_norm: float
     sampled: bool = False
+    subset_sup: dict = field(default_factory=dict)
 
 
 def classify(
@@ -106,11 +112,14 @@ def classify(
     seed: int = 0,
     max_exhaustive_atoms: int = _EXHAUSTIVE_ATOM_LIMIT,
 ) -> OvmClassification:
-    """Classify a measure by checking its subset sums.
+    """Classify a measure by the suprema of its subset statistics.
 
-    Exhaustive over all 2^n subsets for n <= max_exhaustive_atoms; larger
-    measures must opt in to sampled mode, which checks the empty set, the
-    full set, all singleton and pair sums, and `sample_count` random subsets.
+    Each supremum is certified from the atoms when the atom-level bounds
+    decide it (see the statistic functions below for the proofs), and only
+    otherwise enumerated over all 2^n subsets.  Sampled mode, which larger
+    measures must opt in to, replaces that enumeration with the empty set,
+    the full set, all singleton and pair sums, and `sample_count` random
+    subsets.
 
     Raises
     ------
@@ -123,70 +132,123 @@ def classify(
             f"{n} atoms exceed the exhaustive limit {max_exhaustive_atoms}; "
             "pass sampled=True for sampled classification"
         )
-    square = ovm.is_square
-    norm_sup = 0.0
-    herm_sup = 0.0
-    idem_sup = 0.0
-    min_eig = np.inf
-    if not sampled:
-        for _, chunk in _subsets.iter_subset_sum_chunks(ovm.atoms):
-            norm_sup, herm_sup, idem_sup, min_eig = _update_subset_stats(
-                chunk, square, norm_sup, herm_sup, idem_sup, min_eig
-            )
-    else:
-        rng = Xorshift(seed)
-        masks = {0, ovm.full_mask}
-        masks.update(1 << i for i in range(n))
-        masks.update((1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n))
-        for _ in range(sample_count):
-            masks.add(rng.mask(n))
-        stack = np.stack([ovm.evaluate(mask) for mask in sorted(masks)])
-        norm_sup, herm_sup, idem_sup, min_eig = _update_subset_stats(
-            stack, square, norm_sup, herm_sup, idem_sup, min_eig
-        )
-    self_adjoint = square and herm_sup <= tol
-    positive = self_adjoint and min_eig >= -tol
-    projection_valued = square and idem_sup <= tol
-    probability = square and spectral_norm(
-        ovm.evaluate(ovm.full_mask) - np.eye(ovm.dim_out, dtype=ovm.atoms.dtype)
-    ) <= tol
-    spectral = square and _spectrality_residual(ovm) <= tol
+    atoms = ovm.atoms
+    total = ovm.evaluate(ovm.full_mask)
+    norm_bound = float(_subsets.batched_spectral_norms(atoms).sum())
+    stats, probability, spectral = [], False, False
+    if ovm.is_square:
+        herm = _self_adjoint_defects(atoms)
+        negativity = np.maximum(_negativity(atoms), 0.0)
+        pairs = _pair_defects(atoms)
+        stats = [
+            _subsets.Statistic(
+                "self_adjoint_defect", _self_adjoint_defects, float(herm.sum()), tol
+            ),
+            _subsets.Statistic("negativity", _negativity, float(negativity.sum()), tol),
+            _subsets.Statistic(
+                "idempotent_defect", _idempotent_defects, float(pairs.sum()), tol
+            ),
+        ]
+        norm_bound = min(norm_bound, _norm_bound(total, herm, negativity))
+        eye = np.eye(ovm.dim_out, dtype=atoms.dtype)
+        probability = spectral_norm(total - eye) <= tol
+        spectral = float(pairs.max()) <= tol
+    stats.append(_subsets.Statistic("ovm_norm", _subsets.batched_spectral_norms, norm_bound))
+    masks = _sample_masks(n, sample_count, seed) if sampled else None
+    sup = _subsets.subset_sup(atoms, stats, masks)
+
+    def passes(name):
+        return name in sup and sup[name].lower <= tol
+
+    self_adjoint = passes("self_adjoint_defect")
     return OvmClassification(
         is_probability=probability,
-        is_positive=positive,
-        is_projection_valued=projection_valued,
+        is_positive=self_adjoint and passes("negativity"),
+        is_projection_valued=passes("idempotent_defect"),
         is_spectral=spectral,
         is_self_adjoint=self_adjoint,
-        ovm_norm=norm_sup,
+        ovm_norm=sup["ovm_norm"].lower,
         sampled=sampled,
+        subset_sup=sup,
     )
 
 
-def _update_subset_stats(chunk, square, norm_sup, herm_sup, idem_sup, min_eig):
-    norm_sup = max(norm_sup, float(_subsets.batched_spectral_norms(chunk).max()))
-    if square:
-        adj = chunk.conj().transpose(0, 2, 1)
-        herm_sup = max(herm_sup, float(_subsets.batched_spectral_norms(chunk - adj).max()))
-        idem_sup = max(
-            idem_sup, float(_subsets.batched_spectral_norms(chunk @ chunk - chunk).max())
-        )
-        sym_eigs = np.linalg.eigvalsh((chunk + adj) / 2)
-        min_eig = min(min_eig, float(sym_eigs.min()))
-    return norm_sup, herm_sup, idem_sup, min_eig
+def _sample_masks(n: int, sample_count: int, seed: int) -> set:
+    """All pairs, then `sample_count` random masks; subset_sup adds the
+    empty set, the singletons and the full set."""
+    rng = Xorshift(seed)
+    masks = {(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)}
+    masks.update(rng.mask(n) for _ in range(sample_count))
+    return masks
 
 
-def _spectrality_residual(ovm: Ovm) -> float:
-    """max over atom pairs of ||E_i E_j - delta_ij E_i||; by additivity this
-    bounds the multiplicativity defect over all pairs of subsets."""
-    atoms = ovm.atoms
-    worst = 0.0
-    for i in range(ovm.atom_count):
-        for j in range(ovm.atom_count):
-            prod = atoms[i] @ atoms[j]
-            if i == j:
-                prod = prod - atoms[i]
-            worst = max(worst, spectral_norm(prod))
-    return worst
+def _self_adjoint_defects(stack: np.ndarray) -> np.ndarray:
+    """||E(B) - E(B)*|| for each matrix of a stack.
+
+    Bound: E(B) - E(B)* = sum_{j in B} (E_j - E_j*), so by the triangle
+    inequality every subset has defect at most sum_j ||E_j - E_j*||.
+    """
+    return _subsets.batched_spectral_norms(stack - stack.conj().transpose(0, 2, 1))
+
+
+def _negativity(stack: np.ndarray) -> np.ndarray:
+    """-lambda_min(sym E(B)) for each matrix of a stack, sym A = (A + A*) / 2.
+
+    Bound: sym is linear, so sym E(B) = sum_{j in B} sym E_j, and Weyl's
+    inequality lambda_min(X + Y) >= lambda_min(X) + lambda_min(Y) gives
+    lambda_min(sym E(B)) >= sum_{j in B} lambda_min(sym E_j)
+    >= sum_j min(0, lambda_min(sym E_j)).  Negated: every subset has
+    negativity at most sum_j max(0, -lambda_min(sym E_j)).
+    """
+    sym = (stack + stack.conj().transpose(0, 2, 1)) / 2
+    # 0.0 - x rather than -x, so the empty set gives 0.0 and not -0.0
+    return 0.0 - np.linalg.eigvalsh(sym)[:, 0]
+
+
+def _norm_bound(total: np.ndarray, herm: np.ndarray, negativity: np.ndarray) -> float:
+    """Upper bound on sup_B ||E(B)|| for a square measure, from ||E(Omega)||,
+    the atoms' self-adjoint defects ||E_j - E_j*|| and their negativities
+    max(0, -lambda_min(sym E_j)).
+
+    Proof, first for Hermitian atoms.  For any B with complement B^c,
+    E(B) = E(Omega) - E(B^c), so by Weyl lambda_max(E(B)) <= ||E(Omega)||
+    + sum_{j in B^c} max(0, -lambda_min(E_j)), and -lambda_min(E(B)) <=
+    sum_{j in B} max(0, -lambda_min(E_j)); both are at most
+    ||E(Omega)|| + sum_j max(0, -lambda_min(E_j)), which bounds ||E(B)||.
+    For positive atoms the sum vanishes and the bound is attained at Omega.
+    In general write E_j = S_j + K_j with S_j = sym E_j and K_j skew.  Then
+    ||E(B)|| <= ||S(B)|| + sum_j ||K_j||, the Hermitian case bounds ||S(B)||
+    by ||S(Omega)|| + sum_j max(0, -lambda_min(S_j)), and ||S(Omega)|| <=
+    ||E(Omega)|| + sum_j ||K_j||.  As 2 ||K_j|| = ||E_j - E_j*||, the bound
+    is ||E(Omega)|| + sum_j max(0, -lambda_min(S_j)) + sum_j ||E_j - E_j*||.
+    """
+    return spectral_norm(total) + float(negativity.sum()) + float(herm.sum())
+
+
+def _idempotent_defects(stack: np.ndarray) -> np.ndarray:
+    """||E(B)^2 - E(B)|| for each matrix of a stack.
+
+    Bound: E(B)^2 - E(B) = sum_{i, j in B} (E_i E_j - delta_ij E_i), so by
+    the triangle inequality every subset has defect at most sum_{i, j} N_ij
+    with N from _pair_defects.
+    """
+    return _subsets.batched_spectral_norms(stack @ stack - stack)
+
+
+def _pair_defects(atoms: np.ndarray) -> np.ndarray:
+    """n x n matrix N_ij = ||E_i E_j - delta_ij E_i||.
+
+    A measure is spectral, E(A)E(B) = E(A intersect B) for all subsets, iff
+    every N_ij vanishes, because E(A)E(B) - E(A intersect B) =
+    sum_{i in A, j in B} (E_i E_j - delta_ij E_i); so max N is the
+    spectrality residual.
+    """
+    n = atoms.shape[0]
+    products = atoms[:, None] @ atoms[None, :]
+    products[np.arange(n), np.arange(n)] -= atoms
+    return _subsets.batched_spectral_norms(
+        products.reshape((n * n,) + atoms.shape[1:])
+    ).reshape(n, n)
 
 
 def induced_from_framing(framing: Framing, tol: float = 1e-8) -> Ovm:

@@ -202,6 +202,26 @@ class TestOvmDilate:
             assert report is None
             assert err.startswith("error: ")
 
+    def test_subset_sup_artifact(self, capsys, povm, framing_ovm):
+        names = {
+            "self_adjoint_defect", "negativity", "idempotent_defect", "ovm_norm", "eval_residual"
+        }
+        for path, mode in [(povm, "--naimark"), (framing_ovm, "--block")]:
+            code, report, _ = run(capsys, "ovm-dilate", path, mode)
+            assert code == 0
+            sups = report["artifacts"]["subset_sup"]
+            assert set(sups) == names
+            for sup in sups.values():
+                assert set(sup) == {"mode", "lower", "upper", "subsets_examined", "witness_atoms"}
+                assert sup["mode"] in {"certified", "exhaustive", "sampled"}
+                assert sup["lower"] <= sup["upper"]
+                assert all(0 <= j < 3 for j in sup["witness_atoms"])
+            checks = {c["name"]: c for c in report["checks"]}
+            assert checks["eval_residual"]["value"] in (
+                sups["eval_residual"]["lower"],
+                sups["eval_residual"]["upper"],
+            )
+
     def test_max_atoms_override_prints_cost(self, capsys, povm):
         code, _, err = run(capsys, "ovm-dilate", povm, "--block", "--max-atoms", "8")
         assert code == 0
@@ -313,6 +333,26 @@ class TestParsing:
         for i, doc in enumerate(cases):
             path = write_doc(tmp_path / f"bad{i}.json", doc)
             assert run(capsys, "ovm-dilate", str(path), "--block")[0] == 2
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "argv, template",
+        [
+            (["ovm-dilate", "--block"], '{"dim_in": 1, "dim_out": 1, "atoms": [[[%s]]]}'),
+            (["frame-analyze"], '{"dim": 1, "vectors": [[%s]]}'),
+            (["framing-rescale"], '{"dim": 1, "pairs": [{"x": [1.0], "y": [%s]}]}'),
+        ],
+        ids=["ovm-dilate", "frame-analyze", "framing-rescale"],
+    )
+    def test_non_finite_numbers(self, capsys, tmp_path, argv, template, number):
+        # RFC 8259 has no such numbers, so the input is unparsable, not a
+        # domain error
+        path = tmp_path / "input.json"
+        path.write_text(template % number, encoding="utf-8")
+        code, report, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ")
 
     def test_framing_schema_violation(self, capsys, tmp_path):
         doc = {"dim": 1, "pairs": [{"x": [1.0]}]}
