@@ -42,7 +42,7 @@ from .framings import (
 )
 from .linalg import lp_norm, spectral_norm
 from .ovm import Ovm, _EXHAUSTIVE_ATOM_LIMIT, classify
-from .dilation import build_block_dilation, naimark_dilate, verify_dilation
+from .dilation import EVAL_TOL, build_block_dilation, naimark_dilate, verify_dilation
 from . import rademacher
 
 
@@ -249,9 +249,8 @@ def cmd_ovm_dilate(args) -> int:
         report["checks"].append(_check("isometry_gram_residual", gram_residual, 1e-10))
     else:
         triple = build_block_dilation(ovm, rel_tol=args.tol)
-    eval_tol = 1e-10
     verdict = verify_dilation(
-        ovm, triple, eval_tol, seed=args.seed, max_exhaustive_atoms=args.max_atoms
+        ovm, triple, seed=args.seed, max_exhaustive_atoms=args.max_atoms
     )
     cls = classify(
         ovm,
@@ -268,7 +267,7 @@ def cmd_ovm_dilate(args) -> int:
         "ovm_norm": cls.ovm_norm,
         "sampled": cls.sampled,
     }
-    report["checks"].append(_check("eval_residual", verdict.eval_residual, eval_tol))
+    report["checks"].append(_check("eval_residual", verdict.eval_residual, EVAL_TOL))
     report["checks"].append(_check("f_total_residual", verdict.f_total_residual, 1e-10))
     report["checks"].append(
         _check("f_multiplicative_residual", verdict.f_multiplicative_residual, 1e-10)

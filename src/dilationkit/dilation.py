@@ -30,6 +30,9 @@ from .ovm import Ovm, _EXHAUSTIVE_ATOM_LIMIT
 from .rng import Xorshift
 
 _EXACT_TERM_LIMIT = 24
+# The threshold verify_dilation certifies the eval residual against; a
+# caller checking DilationReport.eval_residual must use the same value.
+EVAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -390,13 +393,13 @@ class DilationReport:
     """Residuals and invariants of a triple checked against a measure.
 
     All residuals are spectral norms.  `eval_residual` bounds
-    sup_B ||E(B) - left F(B) right|| against the threshold `tol` of
-    verify_dilation: on a certified pass it is the certified upper bound
-    sum_j ||Delta_j||, with Delta_j = E({j}) - left F({j}) right; on a
-    certified fail it is the value at the witness subset; when the subsets
-    are enumerated it is the exact maximum, and when they are sampled the
-    sampled maximum.  `subset_sup["eval_residual"]` holds the enclosure,
-    its mode and its witness.  The F residuals (`f_total_residual` for
+    sup_B ||E(B) - left F(B) right|| against the threshold EVAL_TOL: on a
+    certified pass it is the certified upper bound sum_j ||Delta_j||, with
+    Delta_j = E({j}) - left F({j}) right; on a certified fail it is the
+    value at the witness subset; when the subsets are enumerated it is the
+    exact maximum, and when they are sampled the sampled maximum.
+    `subset_sup["eval_residual"]` holds the enclosure, its mode and its
+    witness.  The F residuals (`f_total_residual` for
     F(Omega) = I, `f_multiplicative_residual` for F(A)F(B) = F(A intersect
     B), `f_self_adjoint_residual` for F* = F) are exactly zero, because a
     triple's F is a coordinate partition.  The probability fields are None
@@ -425,7 +428,6 @@ class DilationReport:
 def verify_dilation(
     ovm: Ovm,
     triple: DilationTriple,
-    tol: float = 1e-10,
     *,
     sample_count: int = 1000,
     seed: int = 0,
@@ -434,14 +436,14 @@ def verify_dilation(
     """Measure how well a triple dilates a measure; raises nothing on bad
     triples, the residuals simply grow.
 
-    The eval residual is certified against `tol` first.  By linearity
+    The eval residual is certified against EVAL_TOL first.  By linearity
     E(B) - left F(B) right = sum_{j in B} Delta_j, so every subset's
     residual is at most sum_j ||Delta_j||, while the empty set, the
-    singletons and the full set give genuine values.  Only when `tol` lies
-    between the two are subsets enumerated: exhaustively for measures with
-    at most `max_exhaustive_atoms` atoms, above that on the empty set, the
-    full set, the singletons and `sample_count` random masks, recorded in
-    the `sampled` flag.
+    singletons and the full set give genuine values.  Only when EVAL_TOL
+    lies between the two are subsets enumerated: exhaustively for measures
+    with at most `max_exhaustive_atoms` atoms, above that on the empty set,
+    the full set, the singletons and `sample_count` random masks, recorded
+    in the `sampled` flag.
     """
     if triple.atom_count != ovm.atom_count:
         raise ValueError("triple and measure have different atom counts")
@@ -458,11 +460,11 @@ def verify_dilation(
         "eval_residual",
         _subsets.batched_spectral_norms,
         float(_subsets.batched_spectral_norms(deltas).sum()),
-        tol,
+        EVAL_TOL,
     )
     sup = _subsets.subset_sup(deltas, [residual], masks)
     result = sup["eval_residual"]
-    certified_pass = result.mode == "certified" and result.upper <= tol
+    certified_pass = result.mode == "certified" and result.upper <= EVAL_TOL
     eval_residual = result.upper if certified_pass else result.lower
     rank_left = int(np.linalg.matrix_rank(triple.left)) if triple.left.size else 0
     if triple.right.size:

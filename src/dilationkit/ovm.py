@@ -244,11 +244,13 @@ def _pair_defects(atoms: np.ndarray) -> np.ndarray:
     spectrality residual.
     """
     n = atoms.shape[0]
-    products = atoms[:, None] @ atoms[None, :]
-    products[np.arange(n), np.arange(n)] -= atoms
-    return _subsets.batched_spectral_norms(
-        products.reshape((n * n,) + atoms.shape[1:])
-    ).reshape(n, n)
+    out = np.empty((n, n))
+    # one row at a time keeps the product stack at n matrices, not n^2
+    for i in range(n):
+        products = atoms[i] @ atoms
+        products[i] -= atoms[i]
+        out[i] = _subsets.batched_spectral_norms(products)
+    return out
 
 
 def induced_from_framing(framing: Framing, tol: float = 1e-8) -> Ovm:
