@@ -8,7 +8,8 @@ subset encoded by m.
 `subset_sup` is the one engine behind every "for every subset B" check on
 a measure: it certifies a supremum from atom-level bounds first, and
 enumerates or samples subset sums only for the statistics it could not
-decide.
+decide.  `sample_masks` is the one sampling policy those checks use above
+their exhaustive limits.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .rng import Xorshift
 
 _CHUNK = 1 << 13
 _MAX_ELEMENTS = 1 << 28
@@ -117,9 +120,19 @@ def max_subset_norm(vectors: np.ndarray):
     return float(np.sqrt(max(best_sq, 0.0))), best_mask
 
 
+def sample_masks(n: int, count: int, seed: int) -> set:
+    """The sampled subsets of an n-atom check: all pairs, then `count` draws
+    of Xorshift(seed).mask(n).  subset_sup adds the empty set, the
+    singletons and the full set."""
+    rng = Xorshift(seed)
+    masks = {(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)}
+    masks.update(rng.mask(n) for _ in range(count))
+    return masks
+
+
 def masked_sums(stack: np.ndarray, masks) -> np.ndarray:
     """Subset sums of `stack` for each mask in `masks`, each accumulated
-    from zero in atom index order, the order Ovm.evaluate uses."""
+    from zero in atom index order; Ovm.evaluate is the one-mask case."""
     n = stack.shape[0]
     selected = np.array(
         [[mask >> j & 1 for j in range(n)] for mask in masks], dtype=bool

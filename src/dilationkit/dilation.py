@@ -27,7 +27,6 @@ from .linalg import (
     spectral_norm,
 )
 from .ovm import Ovm, _EXHAUSTIVE_ATOM_LIMIT
-from .rng import Xorshift
 
 _EXACT_TERM_LIMIT = 24
 # The threshold verify_dilation certifies the eval residual against; a
@@ -187,8 +186,9 @@ def omega_upper_bound(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_T
     """Representation-dependent upper bound for the omega functional:
     the sum over terms of sup_B || coeffs[i] E(B intersect masks[i]) vectors[i] ||.
 
-    Each term's supremum is enumerated exactly, so on a single-term
-    representation this equals alpha_norm exactly (same arithmetic path).
+    Each term's supremum is alpha_norm of that term alone, summed left to
+    right, so on a single-term representation this equals alpha_norm
+    exactly.
 
     Raises
     ------
@@ -201,14 +201,7 @@ def omega_upper_bound(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_T
         single = Representation(
             rep.coeffs[i : i + 1], (rep.masks[i],), rep.vectors[i : i + 1]
         )
-        images = _atom_images(ovm, single)
-        nonzero = [j for j in range(images.shape[0]) if np.any(images[j] != 0)]
-        if len(nonzero) > exact_limit:
-            raise ExactModeTooLarge(
-                f"term {i} has {len(nonzero)} nonzero atoms, above the ceiling {exact_limit}"
-            )
-        value, _ = _subsets.max_subset_norm(images[nonzero])
-        total += value
+        total += alpha_norm(ovm, single, exact_limit).value
     return total
 
 
@@ -441,9 +434,9 @@ def verify_dilation(
     residual is at most sum_j ||Delta_j||, while the empty set, the
     singletons and the full set give genuine values.  Only when EVAL_TOL
     lies between the two are subsets enumerated: exhaustively for measures
-    with at most `max_exhaustive_atoms` atoms, above that on the empty set,
-    the full set, the singletons and `sample_count` random masks, recorded
-    in the `sampled` flag.
+    with at most `max_exhaustive_atoms` atoms, above that on the subsets of
+    _subsets.sample_masks(n, sample_count, seed), recorded in the `sampled`
+    flag.
     """
     if triple.atom_count != ovm.atom_count:
         raise ValueError("triple and measure have different atom counts")
@@ -452,10 +445,7 @@ def verify_dilation(
     n = ovm.atom_count
     deltas = ovm.atoms - triple.atom_products()
     sampled = n > max_exhaustive_atoms
-    masks = None
-    if sampled:
-        rng = Xorshift(seed)
-        masks = {rng.mask(n) for _ in range(sample_count)}
+    masks = _subsets.sample_masks(n, sample_count, seed) if sampled else None
     residual = _subsets.Statistic(
         "eval_residual",
         _subsets.batched_spectral_norms,

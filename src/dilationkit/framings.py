@@ -15,7 +15,6 @@ from . import _subsets
 from .errors import ZeroPair
 from .frames import Frame, _as_vector_array, frame_bounds
 from .linalg import outer_pair, spectral_norm
-from .rng import Xorshift
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,8 @@ class UnconditionalityReport:
     over unit vectors is attained there, no sampling involved).
     subset_sup is the maximum over subsets B of ||sum_{i in B} x_i (x) y_i||.
     The two are equivalent: subset_sup <= K_u <= 2 subset_sup.  `exact`
-    records whether every pattern was enumerated or only a sample.
+    records whether every pattern was covered, by a certified bound or by
+    enumeration, or only a sample.
     """
 
     K_u: float
@@ -115,36 +115,30 @@ def unconditionality_diagnostics(
 ) -> UnconditionalityReport:
     """Sign-pattern and subset norms of the expansion, exhaustive up to 20 pairs.
 
-    Above 20 pairs, `sample_count` random subsets are examined together with
-    the empty set, the full set and all singletons, and `exact` is False.
-    Pattern norms reuse the subset sums through
-    sum_i s_i T_i = T_full - 2 sum_{i in B} T_i for the flip set B.
+    Pattern norms reuse the subset sums of T_i = x_i (x) y_i through
+    sum_i s_i T_i = T_full - 2 sum_{i in B} T_i for the flip set B.  Both
+    suprema go through _subsets.subset_sup with the bound sum_i ||T_i||,
+    which holds by the triangle inequality: ||sum_{i in B} T_i|| and
+    ||sum_i s_i T_i|| are both at most sum_i ||T_i||.  Above 20 pairs the
+    subsets of _subsets.sample_masks(n, sample_count, seed) are examined
+    and `exact` is False.
     """
     n = framing.count
     atoms = np.stack([outer_pair(framing.x[i], framing.y[i]) for i in range(n)])
     total = atoms.sum(axis=0)
+
+    def flipped(sums):
+        return _subsets.batched_spectral_norms(total - 2.0 * sums)
+
+    bound = float(_subsets.batched_spectral_norms(atoms).sum())
+    stats = [
+        _subsets.Statistic("subset_sup", _subsets.batched_spectral_norms, bound),
+        _subsets.Statistic("K_u", flipped, bound),
+    ]
     exact = n <= _EXHAUSTIVE_PATTERN_LIMIT
-    subset_sup = 0.0
-    pattern_sup = 0.0
-    if exact:
-        for _, chunk in _subsets.iter_subset_sum_chunks(atoms):
-            norms = _subsets.batched_spectral_norms(chunk)
-            flipped = _subsets.batched_spectral_norms(total[None, :, :] - 2.0 * chunk)
-            subset_sup = max(subset_sup, float(norms.max()))
-            pattern_sup = max(pattern_sup, float(flipped.max()))
-    else:
-        rng = Xorshift(seed)
-        masks = {0, (1 << n) - 1}
-        masks.update(1 << i for i in range(n))
-        while len(masks) < sample_count:
-            masks.add(rng.mask(n))
-        for mask in sorted(masks):
-            part = np.zeros_like(total)
-            for i in _subsets.bit_indices(mask):
-                part += atoms[i]
-            subset_sup = max(subset_sup, spectral_norm(part))
-            pattern_sup = max(pattern_sup, spectral_norm(total - 2.0 * part))
-    return UnconditionalityReport(K_u=pattern_sup, exact=exact, subset_sup=subset_sup)
+    masks = None if exact else _subsets.sample_masks(n, sample_count, seed)
+    sup = _subsets.subset_sup(atoms, stats, masks)
+    return UnconditionalityReport(sup["K_u"].lower, exact, sup["subset_sup"].lower)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from . import _subsets
 from .errors import AtomRankTooHigh, TooManyAtoms
 from .framings import Framing, check_reconstruction
 from .linalg import DEFAULT_REL_TOL, outer_pair, spectral_norm
-from .rng import Xorshift
 
 _EXHAUSTIVE_ATOM_LIMIT = 16
 
@@ -68,11 +67,7 @@ class Ovm:
         order; the empty set gives the zero operator."""
         if not 0 <= mask <= self.full_mask:
             raise ValueError(f"mask {mask} out of range for {self.atom_count} atoms")
-        out = np.zeros((self.dim_out, self.dim_in), dtype=self.atoms.dtype)
-        for i in range(self.atom_count):
-            if mask >> i & 1:
-                out += self.atoms[i]
-        return out
+        return _subsets.masked_sums(self.atoms, [mask])[0]
 
 
 def dual_ovm(ovm: Ovm) -> Ovm:
@@ -117,9 +112,8 @@ def classify(
     Each supremum is certified from the atoms when the atom-level bounds
     decide it (see the statistic functions below for the proofs), and only
     otherwise enumerated over all 2^n subsets.  Sampled mode, which larger
-    measures must opt in to, replaces that enumeration with the empty set,
-    the full set, all singleton and pair sums, and `sample_count` random
-    subsets.
+    measures must opt in to, replaces that enumeration with the subsets of
+    _subsets.sample_masks(n, sample_count, seed).
 
     Raises
     ------
@@ -154,7 +148,7 @@ def classify(
         probability = spectral_norm(total - eye) <= tol
         spectral = float(pairs.max()) <= tol
     stats.append(_subsets.Statistic("ovm_norm", _subsets.batched_spectral_norms, norm_bound))
-    masks = _sample_masks(n, sample_count, seed) if sampled else None
+    masks = _subsets.sample_masks(n, sample_count, seed) if sampled else None
     sup = _subsets.subset_sup(atoms, stats, masks)
 
     def passes(name):
@@ -171,15 +165,6 @@ def classify(
         sampled=sampled,
         subset_sup=sup,
     )
-
-
-def _sample_masks(n: int, sample_count: int, seed: int) -> set:
-    """All pairs, then `sample_count` random masks; subset_sup adds the
-    empty set, the singletons and the full set."""
-    rng = Xorshift(seed)
-    masks = {(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)}
-    masks.update(rng.mask(n) for _ in range(sample_count))
-    return masks
 
 
 def _self_adjoint_defects(stack: np.ndarray) -> np.ndarray:

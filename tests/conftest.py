@@ -32,6 +32,20 @@ def random_positive_probability_ovm(rng, atom_count, dim, complex_field=False):
     return Ovm(np.stack([inv_root @ a @ inv_root for a in atoms]))
 
 
+def full_rank_povm(rng, atom_count, dim):
+    """Exactly Hermitian, full-rank positive complex atoms summing to the
+    identity, the case in which classify certifies every statistic."""
+    atoms = [
+        random_psd(rng, dim, complex_field=True) + 0.5 * np.eye(dim)
+        for _ in range(atom_count)
+    ]
+    total = sum(atoms)
+    vals, vecs = np.linalg.eigh(total)
+    inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    atoms = [inv_root @ a @ inv_root for a in atoms]
+    return Ovm(np.stack([(a + a.conj().T) / 2 for a in atoms]))
+
+
 def random_projection_valued_probability_ovm(rng, atom_count, dim, complex_field=False):
     """Idempotent atoms summing to the identity: a coordinate partition
     conjugated by a random (generally non-unitary) similarity."""

@@ -5,6 +5,8 @@ import pytest
 
 from dilationkit.cli import main
 
+from conftest import full_rank_povm
+
 SQRT3_2 = float(np.sqrt(3.0) / 2.0)
 
 
@@ -226,6 +228,22 @@ class TestOvmDilate:
         code, _, err = run(capsys, "ovm-dilate", povm, "--block", "--max-atoms", "8")
         assert code == 0
         assert "2^2" in err and "overridden" in err
+
+    def test_max_atoms_note_counts_examined_subsets(self, capsys, tmp_path):
+        # every statistic of a full-rank POVM is certified from the empty
+        # set, the 16 singletons and the full set
+        ovm = full_rank_povm(np.random.default_rng(7), 16, 3)
+        doc = {
+            "dim_in": 3,
+            "dim_out": 3,
+            "atoms": [[[[v.real, v.imag] for v in row] for row in atom] for atom in ovm.atoms],
+        }
+        path = write_doc(tmp_path / "povm16.json", doc)
+        code, report, err = run(capsys, "ovm-dilate", path, "--naimark", "--max-atoms", "20")
+        assert code == 0
+        assert "examined at most 18 of 2^16 = 65536 subsets" in err
+        assert "overridden to 20" in err
+        assert {s["mode"] for s in report["artifacts"]["subset_sup"].values()} == {"certified"}
 
     def test_complex_atoms(self, capsys, tmp_path):
         # (I + sigma_y) / 2 and its complement, rank-one positive atoms

@@ -1,0 +1,133 @@
+"""The CLI's exit-code contract on arbitrary small input documents.
+
+Whatever the file holds, `main` returns 0, 1 or 2 and lets no exception
+escape.  A report on stdout is JSON with sorted keys whose `pass` agrees
+with the exit code; without a report, stderr carries an error line.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dilationkit.cli import main
+
+reals = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, -2, 0.5, 1e308, -1e308, 1e-308, 5e-324, 1e154]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.just({}),
+    st.lists(reals, max_size=3),
+    st.just(10**400),
+)
+# mostly real or [re, im] entries, now and then something else
+entries = st.integers(0, 9).flatmap(
+    lambda k: junk if k == 0 else reals if k % 2 else st.lists(reals, min_size=2, max_size=2)
+)
+
+
+def spoiled(doc):
+    """The document, it with one key dropped or replaced by junk, or junk."""
+    keys = sorted(doc)
+    return st.one_of(
+        st.just(doc),
+        st.sampled_from(keys).map(lambda key: {k: v for k, v in doc.items() if k != key}),
+        st.tuples(st.sampled_from(keys), junk).map(lambda kv: {**doc, kv[0]: kv[1]}),
+        junk,
+    )
+
+
+def vector(dim):
+    return st.lists(entries, min_size=dim, max_size=dim)
+
+
+def rows(count, dim):
+    return st.lists(vector(dim), min_size=count, max_size=count)
+
+
+@st.composite
+def frame_docs(draw):
+    dim = draw(st.integers(1, 3))
+    return draw(spoiled({"dim": dim, "vectors": draw(rows(draw(st.integers(1, 3)), dim))}))
+
+
+@st.composite
+def ovm_docs(draw):
+    dim_in, dim_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    atoms = draw(st.lists(rows(dim_out, dim_in), min_size=1, max_size=3))
+    return draw(spoiled({"dim_in": dim_in, "dim_out": dim_out, "atoms": atoms}))
+
+
+@st.composite
+def framing_docs(draw):
+    dim = draw(st.integers(1, 3))
+    pairs = [
+        draw(spoiled({"x": x, "y": y}))
+        for x, y in draw(st.lists(st.tuples(vector(dim), vector(dim)), min_size=1, max_size=3))
+    ]
+    return draw(spoiled({"dim": dim, "pairs": pairs}))
+
+
+invocations = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            [
+                ["frame-analyze"],
+                ["frame-analyze", "--dual"],
+                ["frame-analyze", "--dilate"],
+                ["frame-analyze", "--dual", "--dilate"],
+            ]
+        ),
+        frame_docs(),
+    ),
+    st.tuples(
+        st.sampled_from([["ovm-dilate", "--block"], ["ovm-dilate", "--naimark"]]), ovm_docs()
+    ),
+    st.tuples(st.just(["framing-rescale"]), framing_docs()),
+)
+
+
+def sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys), keys
+    return dict(pairs)
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} in a report")
+
+
+def check_contract(argv, doc):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, path])
+    assert code in (0, 1, 2)
+    if out.getvalue():
+        report = json.loads(
+            out.getvalue(), object_pairs_hook=sorted_object, parse_constant=reject_constant
+        )
+        assert report["pass"] is (code == 0)
+    else:
+        assert code != 0
+        # numpy's overflow warnings may come first
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
+@given(invocations)
+@example((["ovm-dilate", "--block"], {"dim_in": 2, "dim_out": 2, "atoms": [[[1e308] * 2] * 2]}))
+@example((["frame-analyze"], {"dim": 1, "vectors": [[1e308], [1e308]]}))
+@settings(max_examples=100, deadline=None)
+def test_every_document_keeps_the_exit_code_contract(invocation):
+    check_contract(*invocation)

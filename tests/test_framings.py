@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilationkit import (
     Frame,
@@ -21,7 +24,22 @@ from dilationkit import (
     unconditionality_diagnostics,
 )
 
-from conftest import random_framing
+from conftest import random_framing, random_matrix
+
+
+def reference_unconditionality(x, y):
+    """K_u over all 2^n sign patterns and subset_sup over all 2^n subsets,
+    each sum built term by term."""
+    terms = [np.outer(xi, np.conj(yi)) for xi, yi in zip(x, y)]
+    k_u = max(
+        np.linalg.norm(sum(s * t for s, t in zip(signs, terms)), 2)
+        for signs in itertools.product((1.0, -1.0), repeat=len(terms))
+    )
+    subset_sup = max(
+        np.linalg.norm(sum((t for b, t in zip(keep, terms) if b), np.zeros_like(terms[0])), 2)
+        for keep in itertools.product((False, True), repeat=len(terms))
+    )
+    return k_u, subset_sup
 
 
 class TestFramingConstruction:
@@ -114,6 +132,20 @@ class TestUnconditionality:
             assert report.exact
             assert report.subset_sup <= report.K_u + 1e-12
             assert report.K_u <= 2.0 * report.subset_sup + 1e-12
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 3), st.booleans()
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_against_brute_force(self, seed, count, dim, complex_field):
+        rng = np.random.default_rng(seed)
+        x = random_matrix(rng, count, dim, complex_field)
+        y = random_matrix(rng, count, dim, complex_field)
+        report = unconditionality_diagnostics(Framing(x, y))
+        k_u, subset_sup = reference_unconditionality(x, y)
+        assert report.exact
+        assert report.K_u == pytest.approx(k_u, rel=1e-12)
+        assert report.subset_sup == pytest.approx(subset_sup, rel=1e-12)
 
     def test_sampled_above_limit(self, rng):
         f = random_framing(rng, 21, 3)

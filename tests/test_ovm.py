@@ -51,6 +51,17 @@ class TestOvmBasics:
         npt.assert_array_equal(v.evaluate(0b10), np.diag([0.0, 1.0]))
         npt.assert_array_equal(v.evaluate(0b11), np.eye(2))
 
+    def test_evaluate_is_bitwise_the_index_order_sum(self, rng):
+        for complex_field in (False, True):
+            v = random_general_ovm(rng, 9, 3, 2, complex_field)
+            masks = [0, v.full_mask, *(int(m) for m in rng.integers(0, v.full_mask, 20))]
+            for mask in masks:
+                want = np.zeros((3, 2), dtype=v.atoms.dtype)
+                for i in range(v.atom_count):
+                    if mask >> i & 1:
+                        want += v.atoms[i]
+                assert np.array_equal(v.evaluate(mask), want), mask
+
     def test_evaluate_range(self):
         v = coordinate_partition()
         with pytest.raises(ValueError):

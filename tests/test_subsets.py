@@ -5,12 +5,15 @@ the statistic with plain numpy, one subset at a time.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dilationkit
 from dilationkit import (
     DilationTriple,
     Ovm,
@@ -19,9 +22,11 @@ from dilationkit import (
     naimark_dilate,
     verify_dilation,
 )
-from dilationkit._subsets import Statistic, batched_spectral_norms, subset_sup
+from dilationkit._subsets import Statistic, batched_spectral_norms, sample_masks, subset_sup
+from dilationkit.rng import Xorshift
 
 from conftest import (
+    full_rank_povm,
     random_general_ovm,
     random_matrix,
     random_projection_valued_probability_ovm,
@@ -210,15 +215,7 @@ class TestEngine:
 
 
 def test_sixteen_atom_povm_is_certified():
-    rng = np.random.default_rng(7)
-    atoms = []
-    for _ in range(16):
-        g = random_matrix(rng, 8, 8, complex_field=True)
-        atoms.append(g @ g.conj().T + 0.5 * np.eye(8))
-    total = sum(atoms)
-    vals, vecs = np.linalg.eigh(total)
-    inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    ovm = Ovm(np.stack([hermitian_part(inv_root @ a @ inv_root) for a in atoms]))
+    ovm = full_rank_povm(np.random.default_rng(7), 16, 8)
     cls = classify(ovm)
     report = verify_dilation(ovm, naimark_dilate(ovm).as_triple())
     assert cls.is_probability and cls.is_positive and not cls.is_projection_valued
@@ -245,3 +242,33 @@ def test_corrupted_atom_is_the_witness(atom):
     assert report.eval_residual == sup.lower
     assert sup.mode == "certified"
     assert atom in sup.witness_atoms
+
+
+@pytest.mark.parametrize("n", [17, 21])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_sample_masks_contain_the_earlier_policies(n, seed):
+    # verify_dilation drew `count` masks; unconditionality_diagnostics drew
+    # until the empty set, the singletons, the full set and its draws made
+    # `count` masks.  subset_sup adds those genuine subsets itself.
+    count = 200
+    masks = sample_masks(n, count, seed)
+    genuine = {0, (1 << n) - 1, *(1 << j for j in range(n))}
+    assert {(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)} <= masks
+    rng = Xorshift(seed)
+    assert {rng.mask(n) for _ in range(count)} <= masks
+    rng = Xorshift(seed)
+    filled, draws = set(genuine), 0
+    while len(filled) < count:
+        filled.add(rng.mask(n))
+        draws += 1
+    assert draws <= count
+    assert filled <= masks | genuine
+
+
+def test_only_the_engine_enumerates_or_draws_masks():
+    pattern = re.compile(r"\biter_subset_sum_chunks\(|\.mask\(")
+    package = Path(dilationkit.__file__).parent
+    callers = sorted(
+        path.name for path in package.glob("*.py") if pattern.search(path.read_text())
+    )
+    assert callers == ["_subsets.py"]
