@@ -132,14 +132,18 @@ def sample_masks(n: int, count: int, seed: int) -> set:
 
 def masked_sums(stack: np.ndarray, masks) -> np.ndarray:
     """Subset sums of `stack` for each mask in `masks`, each accumulated
-    from zero in atom index order; Ovm.evaluate is the one-mask case."""
+    from zero in atom index order; Ovm.evaluate is the one-mask case.
+    Atoms no mask selects are skipped; one every mask selects is added unindexed."""
     n = stack.shape[0]
-    selected = np.array(
-        [[mask >> j & 1 for j in range(n)] for mask in masks], dtype=bool
-    ).reshape(len(masks), n)
+    common, union = (1 << n) - 1, 0
+    for mask in masks:
+        common, union = common & mask, union | mask
     out = np.zeros((len(masks),) + stack.shape[1:], dtype=stack.dtype)
     for j in range(n):
-        out[selected[:, j]] += stack[j]
+        if common >> j & 1:
+            out += stack[j]
+        elif union >> j & 1:
+            out[np.array([mask >> j & 1 for mask in masks], dtype=bool)] += stack[j]
     return out
 
 

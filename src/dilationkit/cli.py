@@ -70,19 +70,13 @@ def _entry(value, where):
 def _vector(obj, dim, where):
     if not isinstance(obj, list) or len(obj) != dim:
         raise SchemaError(f"{where}: expected a vector of length {dim}")
-    entries = [_entry(v, where) for v in obj]
-    if any(isinstance(e, complex) for e in entries):
-        return np.array([complex(e) for e in entries])
-    return np.array(entries)
+    return np.array([_entry(v, where) for v in obj])
 
 
 def _matrix(obj, rows, cols, where):
     if not isinstance(obj, list) or len(obj) != rows:
         raise SchemaError(f"{where}: expected {rows} rows")
-    data = [_vector(row, cols, f"{where} row {i}") for i, row in enumerate(obj)]
-    if any(np.iscomplexobj(row) for row in data):
-        data = [row.astype(complex) for row in data]
-    return np.stack(data)
+    return np.stack([_vector(row, cols, f"{where} row {i}") for i, row in enumerate(obj)])
 
 
 def load_frame(doc) -> Frame:
@@ -108,12 +102,7 @@ def load_ovm(doc) -> Ovm:
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError('"atoms" must be a non-empty list of matrices')
-    stack = [
-        _matrix(atom, dim_out, dim_in, f"atom {i}") for i, atom in enumerate(atoms)
-    ]
-    if any(np.iscomplexobj(a) for a in stack):
-        stack = [a.astype(complex) for a in stack]
-    return Ovm(np.stack(stack))
+    return Ovm(np.stack([_matrix(a, dim_out, dim_in, f"atom {i}") for i, a in enumerate(atoms)]))
 
 
 def load_framing(doc) -> Framing:
@@ -201,7 +190,7 @@ def cmd_frame_analyze(args) -> int:
     bounds = frame_bounds(frame)
     report["artifacts"]["bounds"] = {"lower": bounds.lower, "upper": bounds.upper}
     report["artifacts"]["tight"] = bounds.is_tight()
-    report["artifacts"]["parseval"] = bounds.is_parseval()
+    report["artifacts"]["parseval"] = bounds.is_parseval(args.tol)
     if args.dual:
         dual = canonical_dual(frame)
         recon = dual.vectors.T @ frame.vectors.conj()
@@ -358,19 +347,12 @@ def cmd_chl5(args) -> int:
         block = rademacher.build_block(n, args.p)
         eps = block.eps
         ortho = int(np.abs(eps @ eps.T - (1 << n) * np.eye(n, dtype=np.int64)).max())
-        idem = spectral_norm(block.projection @ block.projection - block.projection)
-        fixes = max(
-            float(np.abs(block.projection @ block.r[i] - block.r[i]).max())
-            for i in range(n)
-        )
+        idem = rademacher.projection_idempotent(block)
+        fixes = float(np.abs(rademacher.project(block, block.r.T) - block.r.T).max())
         parseval = rademacher.parseval_check(block, trials=args.trials, seed=args.seed)
         dual_side = rademacher.dual_side_check(block)
-        r_norm_defect = max(
-            abs(lp_norm(block.r[i], block.p) - 1.0) for i in range(n)
-        )
-        ratio = rademacher.projection_norm_evidence(
-            block, trials=args.trials, seed=args.seed
-        )
+        r_norm_defect = max(abs(lp_norm(row, block.p) - 1.0) for row in block.r)
+        ratio = rademacher.projection_norm_evidence(block, trials=args.trials, seed=args.seed)
         ratios[n] = ratio
         kh = rademacher.khintchine_report(block, trials=args.trials, seed=args.seed)
         prefix = f"n{n}_"
@@ -406,9 +388,7 @@ def cmd_chl5(args) -> int:
     plan = rescale_sqrt(framing)
     rescaled = apply_rescale(framing, plan)
     x_frame, y_frame = rescaled.frames()
-    parseval_residual = spectral_norm(
-        frame_operator(x_frame) - np.eye(framing.dim)
-    )
+    parseval_residual = spectral_norm(frame_operator(x_frame) - np.eye(framing.dim))
     report["checks"].append(
         _check("assembled_rescaled_parseval_residual", parseval_residual, 1e-10)
     )

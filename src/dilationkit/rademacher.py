@@ -4,8 +4,10 @@ Level n uses the n x 2^n matrix of Rademacher sign patterns: entry (i, j) is
 the sign of the i-th Rademacher function on dyadic interval j.  Its rows are
 orthogonal with squared norm 2^n exactly, in integer arithmetic.  Scaling
 rows by 2^(-n/p) gives unit l_p vectors r_i whose span is complemented in
-l_p by the averaging projection P = eps^T eps / 2^n, and the block framing
-pairs 2^(-n/q)-scaled columns with 2^(-n/p)-scaled columns (1/p + 1/q = 1).
+l_p by the averaging projection P = eps^T eps / 2^n.  P is applied from eps
+as eps^T (eps x) / 2^n and never formed as a 2^n x 2^n array.  The block
+framing pairs 2^(-n/q)-scaled columns with 2^(-n/p)-scaled columns
+(1/p + 1/q = 1).
 Rescaling by alpha_i = 2^(n (1/q - 1/2)) turns both sides into one Parseval
 frame, the 2^(-n/2)-scaled columns.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framings import Framing
-from .linalg import lp_norm
+from .linalg import lp_norm, spectral_norm
 from .rng import Xorshift
 
 MAX_LEVEL = 14  # keeps eps^T eps integer-exact in float64 well below 2^53
@@ -46,17 +48,15 @@ class RademacherBlock:
     q: float
     eps: np.ndarray
     r: np.ndarray
-    projection: np.ndarray
     alphas: np.ndarray
 
 
 def build_block(n: int, p: float) -> RademacherBlock:
     """Assemble the level-n block for exponent p (p > 1, p != 2).
 
-    r rows are the unit l_p sign vectors 2^(-n/p) eps_i; projection is the
-    averaging idempotent eps^T eps / 2^n onto their span, with exactly
-    dyadic entries; alphas are the Parseval rescaling weights
-    2^(n (1/q - 1/2)).
+    r rows are the unit l_p sign vectors 2^(-n/p) eps_i; alphas are the
+    Parseval rescaling weights 2^(n (1/q - 1/2)).  The averaging idempotent
+    P onto the span of the r rows is applied by `project`.
     """
     p = float(p)
     if not p > 1.0:
@@ -65,12 +65,29 @@ def build_block(n: int, p: float) -> RademacherBlock:
         raise ValueError("exponent 2 is excluded, the block degenerates to an orthonormal one")
     q = p / (p - 1.0)
     eps = sign_matrix(n)
-    r = (2.0 ** (-n / p)) * eps
-    projection = (eps.T @ eps) / (1 << n)
     alphas = np.full(n, 2.0 ** (n * (1.0 / q - 0.5)))
-    return RademacherBlock(
-        n=n, p=p, q=q, eps=eps, r=r.astype(np.float64), projection=projection, alphas=alphas
-    )
+    return RademacherBlock(n=n, p=p, q=q, eps=eps, r=(2.0 ** (-n / p)) * eps, alphas=alphas)
+
+
+def project(block: RademacherBlock, x) -> np.ndarray:
+    """P x = eps^T (eps x) / 2^n, for a vector or for each column of a matrix."""
+    return block.eps.T @ (block.eps @ x) / (1 << block.n)
+
+
+def projection_idempotent(block: RademacherBlock) -> float:
+    """||P^2 - P||, computed from n x n matrices.
+
+    P^2 - P = eps^T (eps eps^T) eps / 4^n - eps^T eps / 2^n = eps^T M eps
+    with M = (eps eps^T - 2^n I) / 4^n.  With eps^T = Q R, Q (2^n x n)
+    having orthonormal columns, P^2 - P = Q (R M R^T) Q^T, whose spectral
+    norm is ||R M R^T||.  eps eps^T is integer-exact and 4^n a power of two,
+    so M, and with it the value, is exactly 0 when the rows of eps are
+    orthogonal with squared norm 2^n.
+    """
+    eps, n = block.eps, block.n
+    m = (eps @ eps.T - (1 << n) * np.eye(n, dtype=np.int64)) / float(1 << (2 * n))
+    r = np.linalg.qr(eps.T.astype(np.float64), mode="r")
+    return spectral_norm(r @ m @ r.T)
 
 
 def parseval_frame_vectors(block: RademacherBlock) -> np.ndarray:
@@ -79,15 +96,17 @@ def parseval_frame_vectors(block: RademacherBlock) -> np.ndarray:
     return (2.0 ** (-block.n / 2)) * block.eps.T.astype(np.float64)
 
 
+def _samples(n: int, trials: int, seed: int) -> np.ndarray:
+    """Rows: the n coordinate vectors, then `trials` Xorshift(seed) normals."""
+    return np.vstack([np.eye(n), Xorshift(seed).normals((trials, n))])
+
+
 def parseval_check(block: RademacherBlock, trials: int = 100, seed: int = 0) -> float:
     """Worst relative defect of sum_j <h, f_j>^2 = ||h||^2 over coordinate
     basis vectors and `trials` random normals."""
     f = parseval_frame_vectors(block)
     worst = 0.0
-    rng = Xorshift(seed)
-    samples = [np.eye(block.n)[k] for k in range(block.n)]
-    samples.extend(rng.normals((trials, block.n)))
-    for h in samples:
+    for h in _samples(block.n, trials, seed):
         coeffs = f @ h
         hh = float(h @ h)
         worst = max(worst, abs(float(coeffs @ coeffs) - hh) / hh)
@@ -108,7 +127,7 @@ def dual_side_check(block: RademacherBlock) -> float:
 def projection_ratio(block: RademacherBlock, x) -> float:
     """||P x||_p / ||x||_p for one vector."""
     x = np.asarray(x, dtype=np.float64)
-    num = lp_norm(block.projection @ x, block.p)
+    num = lp_norm(project(block, x), block.p)
     den = lp_norm(x, block.p)
     if den == 0.0:
         raise ValueError("x must be nonzero")
@@ -118,18 +137,24 @@ def projection_ratio(block: RademacherBlock, x) -> float:
 def projection_norm_evidence(block: RademacherBlock, trials: int = 200, seed: int = 0) -> float:
     """Empirical lower bound for ||P||_{l_p -> l_p}.
 
-    Samples dense normals, sparse vectors, all coordinate vectors and sign
+    Samples dense normals, sparse vectors, a coordinate vector and sign
     vectors (including the r rows themselves, where the ratio is exactly 1:
     P r_i = r_i).  The true norm is bounded, so ratios stay within a
     dimension-independent band as n grows.
+
+    e_0 stands for all 2^n coordinate vectors: eps[i, j] = (-1)^(bit n-1-i
+    of j), so eps[i, j] eps[i, k] = eps[i, j xor k] and (P e_k)_j =
+    sum_i eps[i, j] eps[i, k] / 2^n = (P e_0)_(j xor k).  P e_k is thus a
+    rearrangement of P e_0, and ||P e_k||_p / ||e_k||_p = ||P e_0||_p.
     """
     dim = 1 << block.n
     rng = Xorshift(seed)
     best = 0.0
     for k in range(block.n):
         best = max(best, projection_ratio(block, block.r[k]))
-    for k in range(dim):
-        best = max(best, projection_ratio(block, np.eye(dim)[k]))
+    e0 = np.zeros(dim)
+    e0[0] = 1.0
+    best = max(best, projection_ratio(block, e0))
     for _ in range(trials):
         best = max(best, projection_ratio(block, rng.normals((dim,))))
         sparse = np.zeros(dim)
@@ -160,12 +185,9 @@ def khintchine_report(block: RademacherBlock, trials: int = 200, seed: int = 0) 
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    rng = Xorshift(seed)
-    coeffs = [np.eye(block.n)[k] for k in range(block.n)]
-    coeffs.extend(rng.normals((trials, block.n)))
     lower, upper = np.inf, 0.0
     used = 0
-    for a in coeffs:
+    for a in _samples(block.n, trials, seed):
         norm_a = float(np.linalg.norm(a))
         if norm_a == 0.0:
             continue
@@ -181,26 +203,19 @@ def assemble_framing(p: float, n_max: int) -> Framing:
 
     Pair (n, i) embeds x = 2^(-n/q) eps[:, i] and y = 2^(-n/p) eps[:, i]
     into block n of the sum; coordinates of different levels never interact.
-    The dimension is n_max (n_max + 1) / 2 with sum_n 2^n pairs, capped at
-    4096 pairs (n_max <= 11).
+    The dimension is n_max (n_max + 1) / 2 with sum_n 2^n = 2^(n_max + 1) - 2
+    pairs, at most 4094 (n_max <= 11): level n holds pairs 2^n - 2 ..
+    2^(n+1) - 3 on coordinates n(n-1)/2 .. n(n+1)/2 - 1.
     """
     if not 1 <= n_max <= 11:
         raise ValueError(f"n_max must satisfy 1 <= n_max <= 11, got {n_max}")
-    if sum(1 << n for n in range(1, n_max + 1)) > 4096:
-        raise ValueError("pair budget exceeded")
     dim = n_max * (n_max + 1) // 2
-    xs, ys = [], []
-    offset = 0
+    xs = np.zeros(((1 << (n_max + 1)) - 2, dim))
+    ys = np.zeros_like(xs)
     for n in range(1, n_max + 1):
         block = build_block(n, p)
-        q = block.q
         cols = block.eps.T.astype(np.float64)
-        for i in range(1 << n):
-            x = np.zeros(dim)
-            y = np.zeros(dim)
-            x[offset : offset + n] = (2.0 ** (-n / q)) * cols[i]
-            y[offset : offset + n] = (2.0 ** (-n / block.p)) * cols[i]
-            xs.append(x)
-            ys.append(y)
-        offset += n
-    return Framing(np.array(xs), np.array(ys))
+        at = np.s_[(1 << n) - 2 : (1 << (n + 1)) - 2, n * (n - 1) // 2 : n * (n + 1) // 2]
+        xs[at] = (2.0 ** (-n / block.q)) * cols
+        ys[at] = (2.0 ** (-n / block.p)) * cols
+    return Framing(xs, ys)

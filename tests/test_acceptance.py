@@ -37,6 +37,7 @@ from dilationkit.rademacher import (
     build_block,
     dual_side_check,
     parseval_check,
+    project,
     projection_norm_evidence,
     sign_matrix,
 )
@@ -178,7 +179,7 @@ def test_sign_matrix_sweep_across_exponents():
             block = build_block(n, p)
             eps = block.eps
             assert np.array_equal(eps @ eps.T, (1 << n) * np.eye(n, dtype=np.int64))
-            proj = block.projection
+            proj = project(block, np.eye(1 << n))
             assert spectral_norm(proj @ proj - proj) <= 1e-10
             assert parseval_check(block) <= 1e-9
             assert dual_side_check(block) <= 1e-12

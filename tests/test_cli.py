@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dilationkit.cli import main
+from dilationkit.cli import load_frame, load_framing, load_ovm, main
 
 from conftest import full_rank_povm
 
@@ -125,6 +125,18 @@ class TestFrameAnalyze:
         code, _, err = run(capsys, "frame-analyze", mercedes, "--dilate")
         assert code == 1
         assert "NotParseval" in err
+
+    @pytest.mark.parametrize("tol, parseval", [(None, True), ("1e-10", False)])
+    def test_parseval_flag_and_dilate_share_tol(self, capsys, tmp_path, tol, parseval):
+        scale = float(np.sqrt(1.0 + 1e-9))
+        path = write_doc(tmp_path / "near.json", {"dim": 2, "vectors": (scale * np.eye(2)).tolist()})
+        flags = [] if tol is None else ["--tol", tol]
+        code, report, _ = run(capsys, "frame-analyze", path, *flags)
+        assert code == 0
+        assert report["artifacts"]["parseval"] is parseval
+        code, _, err = run(capsys, "frame-analyze", path, "--dilate", *flags)
+        assert code == (0 if parseval else 1)
+        assert ("NotParseval" in err) is not parseval
 
     def test_complex_entries(self, capsys, tmp_path):
         doc = {"dim": 1, "vectors": [[[0.0, 1.0]], [[1.0, 0.0]]]}
@@ -329,6 +341,24 @@ class TestParsing:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert run(capsys, "frame-analyze", str(path))[0] == 2
+
+    def test_mixed_and_all_pair_entries_load_alike(self):
+        mixed = [[0.5, [0.0, -1.5]], [2, 3.25]]
+        pairs = [[[0.5, 0.0], [0.0, -1.5]], [[2, 0], [3.25, 0.0]]]
+        real_row = [[1.0, 2.0], [[0.0, 1.0], 4.0]]
+        real_row_pairs = [[[1.0, 0], [2.0, 0]], [[0.0, 1.0], [4.0, 0]]]
+        loaded = [
+            (load_frame({"dim": 2, "vectors": m}).vectors for m in (mixed, pairs)),
+            (load_ovm({"dim_in": 2, "dim_out": 2, "atoms": [real_row, m]}).atoms
+             for m in (mixed, pairs)),
+            (load_ovm({"dim_in": 2, "dim_out": 2, "atoms": [m, mixed]}).atoms
+             for m in (real_row, real_row_pairs)),
+            (load_framing({"dim": 2, "pairs": [{"x": m[0], "y": m[1]}]}).x
+             for m in (mixed, pairs)),
+        ]
+        for a, b in loaded:
+            assert a.dtype == b.dtype == np.complex128
+            assert np.array_equal(a, b)
 
     def test_schema_violations(self, capsys, tmp_path):
         cases = [

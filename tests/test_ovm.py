@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dilationkit import _subsets
 from dilationkit import (
     AtomRankTooHigh,
     Framing,
@@ -54,13 +55,21 @@ class TestOvmBasics:
     def test_evaluate_is_bitwise_the_index_order_sum(self, rng):
         for complex_field in (False, True):
             v = random_general_ovm(rng, 9, 3, 2, complex_field)
-            masks = [0, v.full_mask, *(int(m) for m in rng.integers(0, v.full_mask, 20))]
-            for mask in masks:
+
+            def loop_sum(mask):
                 want = np.zeros((3, 2), dtype=v.atoms.dtype)
                 for i in range(v.atom_count):
                     if mask >> i & 1:
                         want += v.atoms[i]
-                assert np.array_equal(v.evaluate(mask), want), mask
+                return want
+
+            masks = [0, v.full_mask, *(int(m) for m in rng.integers(0, v.full_mask, 20))]
+            for mask in masks:
+                assert np.array_equal(v.evaluate(mask), loop_sum(mask)), mask
+            # one batch: atom 0 in every mask, atom 8 in none, the rest mixed
+            batch = sorted({(m | 1) & ~(1 << 8) for m in masks})
+            for mask, total in zip(batch, _subsets.masked_sums(v.atoms, batch)):
+                assert np.array_equal(total, loop_sum(mask)), mask
 
     def test_evaluate_range(self):
         v = coordinate_partition()

@@ -1,9 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dilationkit import apply_rescale, check_reconstruction, frame_bounds, rescale_sqrt
-from dilationkit.linalg import lp_norm
+from dilationkit.linalg import lp_norm, spectral_norm
 from dilationkit.rademacher import (
     MAX_LEVEL,
     assemble_framing,
@@ -12,6 +15,8 @@ from dilationkit.rademacher import (
     khintchine_report,
     parseval_check,
     parseval_frame_vectors,
+    project,
+    projection_idempotent,
     projection_norm_evidence,
     projection_ratio,
     sign_matrix,
@@ -63,7 +68,7 @@ class TestBlock:
 
     def test_projection_level_one(self):
         block = build_block(1, 4.0)
-        npt.assert_array_equal(block.projection, [[0.5, -0.5], [-0.5, 0.5]])
+        npt.assert_array_equal(project(block, np.eye(2)), [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_projection_level_two(self):
         block = build_block(2, 4.0)
@@ -75,12 +80,12 @@ class TestBlock:
                 [-1.0, 0.0, 0.0, 1.0],
             ]
         )
-        npt.assert_array_equal(block.projection, expected)
+        npt.assert_array_equal(project(block, np.eye(4)), expected)
 
     def test_projection_idempotent_bitwise(self):
         # dyadic entries with small numerators: the product rounds nowhere
         for n in range(1, 11):
-            p = build_block(n, 4.0).projection
+            p = project(build_block(n, 4.0), np.eye(1 << n))
             assert np.array_equal(p @ p, p)
 
     def test_projection_fixes_r_rows(self):
@@ -98,6 +103,62 @@ class TestBlock:
         block = build_block(2, 4.0)
         with pytest.raises(ValueError):
             projection_ratio(block, np.zeros(4))
+
+
+def dense_projection(eps):
+    return (eps.T @ eps) / (1 << eps.shape[0])
+
+
+class TestProjectionAgainstDense:
+    def test_project_matches_dense_matrix(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            block = build_block(n, 4.0)
+            dense = dense_projection(block.eps)
+            x = rng.normal(size=(1 << n, 3))
+            npt.assert_allclose(project(block, x), dense @ x, rtol=1e-12, atol=1e-14)
+            npt.assert_allclose(project(block, x[:, 0]), dense @ x[:, 0], rtol=1e-12, atol=1e-14)
+
+    def test_idempotent_qr_form_matches_dense_norm(self):
+        for n in range(1, 9):
+            block = build_block(n, 4.0)
+            assert projection_idempotent(block) == 0.0
+            if n == 1:
+                continue  # any 1 x 2 sign row has squared norm 2
+            for j in (0, (1 << n) - 1):
+                flipped = block.eps.copy()
+                flipped[0, j] = -flipped[0, j]
+                dense = dense_projection(flipped)
+                expected = spectral_norm(dense @ dense - dense)
+                value = projection_idempotent(dataclasses.replace(block, eps=flipped))
+                assert expected > 0.0
+                assert abs(value - expected) <= 1e-12 * expected
+
+    def test_first_coordinate_vector_attains_every_column_ratio(self):
+        for p in P_VALUES:
+            for n in range(1, 9):
+                block = build_block(n, p)
+                dense = dense_projection(block.eps)
+                worst = max(lp_norm(dense[:, k], p) for k in range(1 << n))
+                e0 = np.zeros(1 << n)
+                e0[0] = 1.0
+                assert abs(projection_ratio(block, e0) - worst) <= 1e-14 * worst
+
+    def test_level_eleven_stays_below_eight_mib(self):
+        # one dense 2048 x 2048 float64 array alone is 32 MiB
+        tracemalloc.start()
+        try:
+            block = build_block(11, 4.0)
+            assert projection_idempotent(block) == 0.0
+            assert np.abs(project(block, block.r.T) - block.r.T).max() <= 1e-10
+            assert parseval_check(block) <= 1e-9
+            assert dual_side_check(block) <= 1e-12
+            khintchine_report(block)
+            projection_norm_evidence(block, trials=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestParsevalSide:
@@ -188,6 +249,27 @@ class TestAssembledFraming:
         assert all(s <= {0} for s in supports[:2])
         assert all(s <= {1, 2} for s in supports[2:6])
         assert all(s <= {3, 4, 5} for s in supports[6:])
+
+    def test_bitwise_equal_to_pair_by_pair_assembly(self):
+        for p in (4.0, 1.5):
+            for n_max in range(1, 12):
+                dim = n_max * (n_max + 1) // 2
+                xs, ys = [], []
+                offset = 0
+                for n in range(1, n_max + 1):
+                    block = build_block(n, p)
+                    cols = block.eps.T.astype(np.float64)
+                    for i in range(1 << n):
+                        x = np.zeros(dim)
+                        y = np.zeros(dim)
+                        x[offset : offset + n] = (2.0 ** (-n / block.q)) * cols[i]
+                        y[offset : offset + n] = (2.0 ** (-n / block.p)) * cols[i]
+                        xs.append(x)
+                        ys.append(y)
+                    offset += n
+                f = assemble_framing(p, n_max)
+                assert np.array_equal(f.x, np.array(xs))
+                assert np.array_equal(f.y, np.array(ys))
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):
