@@ -14,6 +14,7 @@ frame, the 2^(-n/2)-scaled columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ from .linalg import lp_norm, spectral_norm
 from .rng import Xorshift
 
 MAX_LEVEL = 14  # keeps eps^T eps integer-exact in float64 well below 2^53
+# Boyd steps per start; at most 93 were taken for seven exponents p from 1.1
+# to 10 at every level n <= 11.
+POWER_STEPS = 100
+# Relative drop allowed between consecutive levels' lower bounds.  The lifted
+# maximizer np.repeat(x, 2) has exactly the previous ratio (P_{n+1} acts as
+# P_n on functions of the first n signs); only summation order differs, at
+# most 2.9 eps measured.  Genuine growth between odd levels is 1e-4 or more.
+MONOTONE_RTOL = 64 * np.finfo(np.float64).eps
 
 
 def sign_matrix(n: int) -> np.ndarray:
@@ -96,21 +105,11 @@ def parseval_frame_vectors(block: RademacherBlock) -> np.ndarray:
     return (2.0 ** (-block.n / 2)) * block.eps.T.astype(np.float64)
 
 
-def _samples(n: int, trials: int, seed: int) -> np.ndarray:
-    """Rows: the n coordinate vectors, then `trials` Xorshift(seed) normals."""
-    return np.vstack([np.eye(n), Xorshift(seed).normals((trials, n))])
-
-
-def parseval_check(block: RademacherBlock, trials: int = 100, seed: int = 0) -> float:
-    """Worst relative defect of sum_j <h, f_j>^2 = ||h||^2 over coordinate
-    basis vectors and `trials` random normals."""
+def parseval_check(block: RademacherBlock) -> float:
+    """||f^T f - I|| over the Parseval frame vectors f_j, an n x n spectral
+    norm: the exact supremum over unit h of |sum_j <h, f_j>^2 - ||h||^2|."""
     f = parseval_frame_vectors(block)
-    worst = 0.0
-    for h in _samples(block.n, trials, seed):
-        coeffs = f @ h
-        hh = float(h @ h)
-        worst = max(worst, abs(float(coeffs @ coeffs) - hh) / hh)
-    return worst
+    return spectral_norm(f.T @ f - np.eye(block.n))
 
 
 def dual_side_check(block: RademacherBlock) -> float:
@@ -134,37 +133,54 @@ def projection_ratio(block: RademacherBlock, x) -> float:
     return num / den
 
 
-def projection_norm_evidence(block: RademacherBlock, trials: int = 200, seed: int = 0) -> float:
-    """Empirical lower bound for ||P||_{l_p -> l_p}.
+def _psi(y: np.ndarray, r: float) -> np.ndarray:
+    """sign(y) |y|^(r - 1), scaled to peak 1 so that no power overflows."""
+    mags = np.abs(y)
+    return np.sign(y) * (mags / mags.max()) ** (r - 1.0)
 
-    Samples dense normals, sparse vectors, a coordinate vector and sign
-    vectors (including the r rows themselves, where the ratio is exactly 1:
-    P r_i = r_i).  The true norm is bounded, so ratios stay within a
-    dimension-independent band as n grows.
 
-    e_0 stands for all 2^n coordinate vectors: eps[i, j] = (-1)^(bit n-1-i
-    of j), so eps[i, j] eps[i, k] = eps[i, j xor k] and (P e_k)_j =
-    sum_i eps[i, j] eps[i, k] / 2^n = (P e_0)_(j xor k).  P e_k is thus a
-    rearrangement of P e_0, and ||P e_k||_p / ||e_k||_p = ||P e_0||_p.
+def projection_norm_bounds(block: RademacherBlock, start=None):
+    """Enclosure lower <= ||P||_{l_p -> l_p} <= upper, and the vector whose
+    ratio ||P x||_p / ||x||_p is `lower`: (lower, upper, maximizer).
+
+    Upper bound, uniform in n.  Let mu be the uniform probability on the 2^n
+    columns, so ||x||_{L_r(mu)} = 2^(-n/r) ||x||_r; the ratio is the same in
+    either norm.  Then P x = sum_i c_i eps_i with c_i = E[x eps_i].  For
+    p > 2, Khintchine's inequality with Haagerup's optimal constant
+    B_p = sqrt(2) (Gamma((p + 1)/2) / sqrt(pi))^(1/p) gives
+    ||P x||_{L_p} <= B_p ||c||_2 = B_p ||P x||_{L_2} <= B_p ||x||_{L_2}
+    <= B_p ||x||_{L_p}: the rows eps_i are orthonormal in L_2(mu), P is the
+    orthogonal projection onto their span, and mu is a probability measure.
+    For p < 2, P is self-adjoint for the pairing E[x y] under which L_q(mu)
+    is the dual of L_p(mu), so ||P||_p = ||P||_q <= B_q.  Hence
+    upper = B_r with r = max(p, q); for example B_4 = 3^(1/4).
+
+    Lower bound, from Boyd's power method for l_p operator norms (D. W.
+    Boyd, Linear Algebra Appl. 9, 1974): x <- psi_q(P psi_p(P x)) with
+    psi_r(y) = sign(y) |y|^(r - 1), applied through `project` only.  It runs
+    from e_0 and from `start`, each while the ratio strictly increases and
+    for at most POWER_STEPS steps, so `lower` is the computed ratio of a
+    genuine vector.  e_0 stands for all 2^n coordinate vectors:
+    eps[i, j] eps[i, k] = eps[i, j xor k], so P e_k is a rearrangement of
+    P e_0 and every e_k has the ratio ||P e_0||_p.
     """
-    dim = 1 << block.n
-    rng = Xorshift(seed)
-    best = 0.0
-    for k in range(block.n):
-        best = max(best, projection_ratio(block, block.r[k]))
-    e0 = np.zeros(dim)
+    r = max(block.p, block.q)
+    upper = math.sqrt(2.0) * (math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)) ** (1.0 / r)
+    e0 = np.zeros(1 << block.n)
     e0[0] = 1.0
-    best = max(best, projection_ratio(block, e0))
-    for _ in range(trials):
-        best = max(best, projection_ratio(block, rng.normals((dim,))))
-        sparse = np.zeros(dim)
-        support = max(1, int(rng.below(max(block.n, 2))))
-        for _ in range(support):
-            sparse[rng.below(dim)] = rng.normal()
-        if np.any(sparse != 0):
-            best = max(best, projection_ratio(block, sparse))
-        best = max(best, projection_ratio(block, rng.signs(dim)))
-    return best
+    starts = [e0] if start is None else [e0, np.asarray(start, dtype=np.float64)]
+    lower, maximizer = -math.inf, e0
+    for x in starts:
+        ratio = projection_ratio(block, x)
+        for _ in range(POWER_STEPS if ratio > 0.0 else 0):
+            y = _psi(project(block, _psi(project(block, x), block.p)), block.q)
+            step = projection_ratio(block, y)
+            if not step > ratio:
+                break
+            x, ratio = y, step
+        if ratio > lower:
+            lower, maximizer = ratio, x
+    return lower, upper, maximizer
 
 
 @dataclass(frozen=True)
@@ -185,17 +201,10 @@ def khintchine_report(block: RademacherBlock, trials: int = 200, seed: int = 0) 
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    lower, upper = np.inf, 0.0
-    used = 0
-    for a in _samples(block.n, trials, seed):
-        norm_a = float(np.linalg.norm(a))
-        if norm_a == 0.0:
-            continue
-        ratio = lp_norm(a @ block.r, block.p) / norm_a
-        lower = min(lower, ratio)
-        upper = max(upper, ratio)
-        used += 1
-    return KhintchineReport(lower=lower, upper=upper, samples=used)
+    samples = np.vstack([np.eye(block.n), Xorshift(seed).normals((trials, block.n))])
+    # Box-Muller never returns a zero vector: its radius sqrt(-2 log u) has u < 1
+    ratios = [lp_norm(a @ block.r, block.p) / float(np.linalg.norm(a)) for a in samples]
+    return KhintchineReport(lower=min(ratios), upper=max(ratios), samples=len(ratios))
 
 
 def assemble_framing(p: float, n_max: int) -> Framing:

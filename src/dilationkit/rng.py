@@ -90,22 +90,6 @@ class Xorshift:
             vals.append(radius * math.sin(angle))
         return np.array(vals[:count], dtype=np.float64).reshape(shape)
 
-    def normal(self) -> float:
-        return float(self.normals(()))
-
     def signs(self, count: int) -> np.ndarray:
         """Array of +-1.0 floats."""
         return np.array([1.0 if self.u64() >> 63 else -1.0 for _ in range(count)])
-
-    def complex_normals(self, shape) -> np.ndarray:
-        re = self.normals(shape)
-        im = self.normals(shape)
-        return re + 1j * im
-
-    def unit_vector(self, dim: int, complex_field: bool = False) -> np.ndarray:
-        """Haar-uniform unit vector in R^dim or C^dim."""
-        while True:
-            v = self.complex_normals((dim,)) if complex_field else self.normals((dim,))
-            norm = np.linalg.norm(v)
-            if norm > 1e-6:
-                return v / norm

@@ -46,6 +46,15 @@ def full_rank_povm(rng, atom_count, dim):
     return Ovm(np.stack([(a + a.conj().T) / 2 for a in atoms]))
 
 
+def rank_one_parseval_povm(rng, atom_count, dim):
+    """Atoms x_j x_j* of a complex Parseval frame x_1 .. x_n (the rows of a
+    matrix with orthonormal columns), symmetrized: the frame-induced case."""
+    g = rng.normal(size=(atom_count, dim)) + 1j * rng.normal(size=(atom_count, dim))
+    q, _ = np.linalg.qr(g)
+    atoms = np.einsum("ji,jk->jik", q.conj(), q)
+    return Ovm((atoms + atoms.conj().transpose(0, 2, 1)) / 2)
+
+
 def random_projection_valued_probability_ovm(rng, atom_count, dim, complex_field=False):
     """Idempotent atoms summing to the identity: a coordinate partition
     conjugated by a random (generally non-unitary) similarity."""

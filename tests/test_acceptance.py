@@ -36,9 +36,10 @@ from dilationkit import (
 from dilationkit.rademacher import (
     build_block,
     dual_side_check,
+    MONOTONE_RTOL,
     parseval_check,
     project,
-    projection_norm_evidence,
+    projection_norm_bounds,
     sign_matrix,
 )
 from dilationkit.linalg import lp_norm
@@ -174,8 +175,8 @@ def test_sign_matrix_sweep_across_exponents():
     start = time.perf_counter()
     cases = 0
     for p in (4.0 / 3.0, 1.5, 4.0, 6.0):
-        ratios = []
-        for n in range(2, 9):
+        lowers, lifted = [], None
+        for n in range(1, 9):
             block = build_block(n, p)
             eps = block.eps
             assert np.array_equal(eps @ eps.T, (1 << n) * np.eye(n, dtype=np.int64))
@@ -185,10 +186,16 @@ def test_sign_matrix_sweep_across_exponents():
             assert dual_side_check(block) <= 1e-12
             for i in range(n):
                 assert abs(lp_norm(block.r[i], p) - 1.0) <= 1e-12
-            ratios.append(projection_norm_evidence(block))
+            lower, upper, maximizer = projection_norm_bounds(block, lifted)
+            lifted = np.repeat(maximizer, 2)
+            assert lower <= upper
+            if n >= 3:
+                assert lower > 1.0
+            lowers.append(lower)
             cases += 1
-        assert max(ratios) <= 2.0 * min(ratios)
-        assert not all(b > a for a, b in zip(ratios, ratios[1:]))
+        assert max(lowers) <= 2.0 * min(lowers)
+        # P_{n+1} acts as P_n on functions of the first n signs
+        assert all(b >= a * (1 - MONOTONE_RTOL) for a, b in zip(lowers, lowers[1:]))
     elapsed_line("sign-matrix sweep", start, cases)
 
 

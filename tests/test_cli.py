@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dilationkit.cli import load_frame, load_framing, load_ovm, main
+from dilationkit.cli import build_parser, load_frame, load_framing, load_ovm, main
+from dilationkit.linalg import DEFAULT_REL_TOL
 
 from conftest import full_rank_povm
 
@@ -146,6 +147,10 @@ class TestFrameAnalyze:
 
 
 class TestOvmDilate:
+    def test_tol_default_is_the_library_rank_cutoff(self):
+        args = build_parser().parse_args(["ovm-dilate", "m.json", "--block"])
+        assert args.tol == DEFAULT_REL_TOL
+
     def test_povm_naimark(self, capsys, povm):
         code, report, _ = run(capsys, "ovm-dilate", povm, "--naimark")
         assert code == 0
@@ -302,7 +307,18 @@ class TestChl5:
         for n in range(1, 9):
             assert names[f"n{n}_sign_orthogonality"]["value"] == 0.0
             assert names[f"n{n}_projection_fixes_r"]["value"] <= 1e-10
-        assert names["projection_ratio_spread"]["value"] <= 2.0
+        lowers = []
+        for n in range(1, 9):
+            bounded = names[f"n{n}_projection_norm_bounded"]
+            level = report["artifacts"]["levels"][str(n)]
+            assert bounded["value"] == level["projection_norm_lower"]
+            assert bounded["threshold"] == level["projection_norm_upper"]
+            assert abs(level["projection_norm_upper"] - 3.0 ** 0.25) <= 1e-15
+            assert level["projection_norm_lower"] <= level["projection_norm_upper"]
+            lowers.append(level["projection_norm_lower"])
+        assert all(lower > 1.0 for lower in lowers[2:])
+        assert max(lowers) <= 2.0 * min(lowers)
+        assert names["projection_norm_monotone"]["pass"]
         assert report["artifacts"]["pair_count"] == sum(1 << n for n in range(1, 9))
 
     def test_exponent_two_rejected(self, capsys):
@@ -323,6 +339,13 @@ class TestChl5:
 
     def test_trials_validation(self, capsys):
         assert run(capsys, "chl5", "--p", "4", "--trials", "99")[0] == 2
+
+    def test_checks_do_not_depend_on_the_seed(self, capsys):
+        first = run(capsys, "chl5", "--p", "4", "--nmax", "6", "--seed", "1")
+        second = run(capsys, "chl5", "--p", "4", "--nmax", "6", "--seed", "2")
+        assert first[0] == second[0] == 0
+        assert first[1]["checks"] == second[1]["checks"]
+        assert first[1]["artifacts"]["levels"] != second[1]["artifacts"]["levels"]
 
     def test_determinism(self, capsys):
         first = run(capsys, "chl5", "--p", "4", "--nmax", "3", "--seed", "7")

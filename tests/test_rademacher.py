@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from dilationkit import apply_rescale, check_reconstruction, frame_bounds, resca
 from dilationkit.linalg import lp_norm, spectral_norm
 from dilationkit.rademacher import (
     MAX_LEVEL,
+    MONOTONE_RTOL,
     assemble_framing,
     build_block,
     dual_side_check,
@@ -17,12 +20,24 @@ from dilationkit.rademacher import (
     parseval_frame_vectors,
     project,
     projection_idempotent,
-    projection_norm_evidence,
+    projection_norm_bounds,
     projection_ratio,
     sign_matrix,
 )
 
 P_VALUES = (4.0 / 3.0, 1.5, 4.0, 6.0)
+
+
+def haagerup_b(p):
+    """Haagerup's optimal upper Khintchine constant for p >= 2."""
+    return math.sqrt(2.0) * (math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)) ** (1.0 / p)
+
+
+def haagerup_a(p):
+    """Haagerup's optimal lower Khintchine constant for 1 <= p < 2: the two
+    expressions cross at p0 ~ 1.847, where Gamma((p + 1)/2) = sqrt(pi)/2."""
+    p0 = 1.8474163
+    return 2.0 ** (0.5 - 1.0 / p) if p <= p0 else haagerup_b(p)
 
 
 class TestSignMatrix:
@@ -154,7 +169,8 @@ class TestProjectionAgainstDense:
             assert parseval_check(block) <= 1e-9
             assert dual_side_check(block) <= 1e-12
             khintchine_report(block)
-            projection_norm_evidence(block, trials=1)
+            lower, upper, _ = projection_norm_bounds(block)
+            assert 1.0 < lower <= upper
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -182,14 +198,73 @@ class TestParsevalSide:
 class TestProjectionEvidence:
     def test_at_least_one_and_reproducible(self):
         block = build_block(3, 4.0)
-        first = projection_norm_evidence(block, trials=50, seed=3)
-        second = projection_norm_evidence(block, trials=50, seed=3)
-        assert first == second
-        assert first >= 1.0 - 1e-13
+        first = projection_norm_bounds(block)
+        second = projection_norm_bounds(block)
+        assert first[:2] == second[:2]
+        assert np.array_equal(first[2], second[2])
+        assert first[0] > 1.0
 
     def test_bounded_for_quartic(self):
-        values = [projection_norm_evidence(build_block(n, 4.0), trials=50) for n in (2, 3, 4)]
-        assert max(values) <= 2.0 * min(values)
+        values = [projection_norm_bounds(build_block(n, 4.0)) for n in (2, 3, 4)]
+        lowers = [lower for lower, _, _ in values]
+        assert max(lowers) <= 2.0 * min(lowers)
+        for lower, upper, _ in values:
+            assert lower <= upper
+            assert abs(upper - 3.0 ** 0.25) <= 1e-15
+
+
+class TestProjectionNormBounds:
+    def test_upper_is_haagerup_constant_of_the_larger_exponent(self):
+        assert abs(projection_norm_bounds(build_block(3, 4.0))[1] - 3.0 ** 0.25) <= 1e-15
+        for p in P_VALUES:
+            block = build_block(3, p)
+            upper = projection_norm_bounds(block)[1]
+            assert abs(upper - haagerup_b(max(block.p, block.q))) <= 1e-15 * upper
+            dual = projection_norm_bounds(build_block(3, block.q))[1]
+            assert abs(upper - dual) <= 1e-15 * upper
+
+    def test_lower_dominates_every_sign_vector_and_column(self):
+        # started as chl5 starts it: from e_0 and the lifted previous maximizer
+        for p in P_VALUES:
+            start = None
+            for n in range(1, 5):
+                block = build_block(n, p)
+                lower, upper, maximizer = projection_norm_bounds(block, start)
+                start = np.repeat(maximizer, 2)
+                dense = dense_projection(block.eps)
+                signs = np.array(list(itertools.product((-1.0, 1.0), repeat=1 << n)))
+                # ||s||_p = 2^(n/p) for every sign vector s, ||e_k||_p = 1
+                images = np.sum(np.abs(signs @ dense) ** p, axis=1) ** (1 / p)
+                columns = np.sum(np.abs(dense) ** p, axis=0) ** (1 / p)
+                best = max(images.max() / 2.0 ** (n / p), columns.max())
+                assert lower >= best * (1 - 1e-14), (p, n)
+                assert lower <= upper
+
+    def test_maximizer_ratio_is_the_lower_bound(self):
+        for p in P_VALUES:
+            start = None
+            for n in range(1, 9):
+                block = build_block(n, p)
+                lower, _, maximizer = projection_norm_bounds(block, start)
+                assert projection_ratio(block, maximizer) == lower
+                start = np.repeat(maximizer, 2)
+
+    def test_lifted_maximizer_keeps_the_lower_bound(self):
+        for p in P_VALUES + (1.1, 10.0):
+            start, previous = None, 0.0
+            for n in range(1, 12):
+                lower, upper, maximizer = projection_norm_bounds(build_block(n, p), start)
+                assert lower >= previous * (1 - MONOTONE_RTOL), (p, n)
+                assert lower <= upper
+                if n >= 3:
+                    assert lower > 1.0
+                start, previous = np.repeat(maximizer, 2), lower
+
+    def test_start_in_the_kernel_is_ignored(self):
+        block = build_block(2, 4.0)
+        kernel = np.array([1.0, -1.0, -1.0, 1.0])
+        assert np.array_equal(project(block, kernel), np.zeros(4))
+        assert projection_norm_bounds(block, kernel)[:2] == projection_norm_bounds(block)[:2]
 
 
 class TestKhintchine:
@@ -209,6 +284,20 @@ class TestKhintchine:
         a = np.array([1.0, 1.0]) / np.sqrt(2.0)
         ratio = lp_norm(a @ block.r, 4.0) / np.linalg.norm(a)
         assert abs(ratio - 2.0 ** 0.25) <= 1e-12
+
+    def test_envelope_lies_inside_haagerup_constants(self):
+        # the sampled ratios are genuine, so they obey Khintchine's inequality
+        # A_p ||a||_2 <= ||sum a_i r_i||_p <= B_p ||a||_2; the side that is
+        # trivially 1 is attained at a = e_i, where ||r_i||_p = 1
+        for p in P_VALUES + (1.9, 3.0):
+            for n in range(1, 9):
+                report = khintchine_report(build_block(n, p))
+                if p > 2.0:
+                    assert abs(report.lower - 1.0) <= 1e-12, (p, n)
+                    assert report.upper <= haagerup_b(p) * (1 + 1e-12), (p, n)
+                else:
+                    assert abs(report.upper - 1.0) <= 1e-12, (p, n)
+                    assert report.lower >= haagerup_a(p) * (1 - 1e-12), (p, n)
 
     def test_envelope_brackets_exact_ratio(self):
         # the balanced vector is among the normals' reachable ratios

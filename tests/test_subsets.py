@@ -22,12 +22,20 @@ from dilationkit import (
     naimark_dilate,
     verify_dilation,
 )
-from dilationkit._subsets import Statistic, batched_spectral_norms, sample_masks, subset_sup
+from dilationkit._subsets import (
+    SETTLE_RTOL,
+    Statistic,
+    batched_spectral_norms,
+    sample_masks,
+    subset_sup,
+)
 from dilationkit.rng import Xorshift
 
 from conftest import (
     full_rank_povm,
+    rank_one_parseval_povm,
     random_general_ovm,
+    random_positive_probability_ovm,
     random_matrix,
     random_projection_valued_probability_ovm,
 )
@@ -225,6 +233,40 @@ def test_sixteen_atom_povm_is_certified():
     for name, sup in sups.items():
         assert sup.mode == "certified", name
         assert sup.subsets_examined <= ovm.atom_count + 2, name
+
+
+def unsymmetrized_povm(rng, atom_count, dim):
+    return random_positive_probability_ovm(rng, atom_count, dim, complex_field=True)
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7])
+@pytest.mark.parametrize("build", [rank_one_parseval_povm, unsymmetrized_povm])
+def test_rounding_wide_povm_is_certified(build, seed):
+    # rounding-negative eigenvalues or rounding-level skew parts of the atoms
+    # leave the ovm_norm enclosure a few ulps wide; SETTLE_RTOL settles it
+    # without enumerating the 2^16 subsets
+    ovm = build(np.random.default_rng(seed), 16, 8)
+    cls = classify(ovm)
+    report = verify_dilation(ovm, naimark_dilate(ovm).as_triple())
+    assert cls.is_probability and cls.is_positive and not cls.is_projection_valued
+    assert report.eval_residual <= TOL
+    sups = {**cls.subset_sup, **report.subset_sup}
+    assert len(sups) == 5
+    for name, sup in sups.items():
+        assert sup.mode == "certified", name
+        assert sup.subsets_examined <= ovm.atom_count + 2, name
+    norm = sups["ovm_norm"]
+    assert cls.ovm_norm == norm.lower
+    assert 0.0 <= norm.upper - norm.lower <= SETTLE_RTOL * norm.upper
+    assert abs(norm.lower - 1.0) <= 1e-14
+
+
+def test_wide_no_threshold_enclosure_is_still_enumerated():
+    # the atom-level bound 3 exceeds the maximum 2 by far more than SETTLE_RTOL
+    stack = np.array([[[1.0]], [[-1.0]], [[1.0]]])
+    sup = subset_sup(stack, [Statistic("norm", batched_spectral_norms, 3.0)])["norm"]
+    assert sup.mode == "exhaustive"
+    assert sup.lower == sup.upper == 2.0
 
 
 @pytest.mark.parametrize("atom", [0, 2])
