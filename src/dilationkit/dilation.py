@@ -397,9 +397,10 @@ class DilationReport:
     B), `f_self_adjoint_residual` for F* = F) are exactly zero, because a
     triple's F is a coordinate partition.  The probability fields are None
     unless the measure of the full set is the identity, in which case they
-    certify that right @ left is idempotent.  `block_rank_pairs` lists
-    (rank F({j}), rank E({j})); a structure-preserving dilation keeps them
-    equal.  `sampled` is True when the atom count is above the exhaustive
+    certify that right @ left is idempotent.  `rank_left` is the numerical
+    rank of left under linalg.numerical_rank at DEFAULT_REL_TOL, the rule
+    behind every rank here.  `block_rank_pairs` lists (rank F({j}),
+    rank E({j})); a structure-preserving dilation keeps them equal.  `sampled` is True when the atom count is above the exhaustive
     limit; a certified eval_residual verdict is two-sided even then.
     """
 
@@ -456,7 +457,7 @@ def verify_dilation(
     result = sup["eval_residual"]
     certified_pass = result.mode == "certified" and result.upper <= EVAL_TOL
     eval_residual = result.upper if certified_pass else result.lower
-    rank_left = int(np.linalg.matrix_rank(triple.left)) if triple.left.size else 0
+    rank_left = numerical_rank(np.linalg.svd(triple.left, compute_uv=False))
     if triple.right.size:
         right_min_singular = float(np.linalg.svd(triple.right, compute_uv=False).min())
     else:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _subsets
 from .errors import NotAFrame, NotDualPair, NotParseval, OverlappingSupports
 from .linalg import (
     DEFAULT_REL_TOL,
@@ -83,6 +84,13 @@ def frame_operator(frame: Frame) -> np.ndarray:
     return v.T @ v.conj()
 
 
+def reconstruction_residual(x: np.ndarray, y: np.ndarray) -> float:
+    """||sum_i x_i y_i* - I|| for (N, dim) pair arrays whose rows are x_i and
+    y_i; the sum is formed as one product x^T conj(y)."""
+    op = x.T @ y.conj()
+    return spectral_norm(op - np.eye(op.shape[0], dtype=op.dtype))
+
+
 def frame_bounds(frame: Frame) -> FrameBounds:
     eig = eig_hermitian(frame_operator(frame))
     vals = eig.eigenvalues
@@ -137,8 +145,7 @@ def dilate_parseval_to_onb(frame: Frame, tol: float = 1e-8) -> OnbDilation:
     NotParseval
         If the frame operator deviates from the identity beyond `tol`.
     """
-    s = frame_operator(frame)
-    residual = spectral_norm(s - np.eye(frame.dim, dtype=s.dtype))
+    residual = reconstruction_residual(frame.vectors, frame.vectors)
     if residual > tol:
         raise NotParseval(f"frame operator deviates from identity by {residual:.3e} > {tol:.1e}")
     theta = analysis_operator(frame)
@@ -188,13 +195,13 @@ def dilate_dual_pair_to_riesz(x_frame: Frame, y_frame: Frame, tol: float = 1e-8)
     """
     if x_frame.count != y_frame.count or x_frame.dim != y_frame.dim:
         raise ValueError("dual pair must have matching vector counts and dimensions")
+    residual = reconstruction_residual(x_frame.vectors, y_frame.vectors)
+    if residual > tol:
+        raise NotDualPair(f"reconstruction identity fails by {residual:.3e} > {tol:.1e}")
     x = x_frame.vectors.T
     y = y_frame.vectors.T
     dim, count = x.shape
-    recon = x @ y.conj().T
-    residual = spectral_norm(recon - np.eye(dim, dtype=recon.dtype))
-    if residual > tol:
-        raise NotDualPair(f"reconstruction identity fails by {residual:.3e} > {tol:.1e}")
+    dtype = np.result_type(x.dtype, y.dtype)
     a, sing, bh = np.linalg.svd(y, full_matrices=True)
     if float(sing[-1]) <= 0.0:
         raise NotDualPair("y family does not span")
@@ -205,10 +212,10 @@ def dilate_dual_pair_to_riesz(x_frame: Frame, y_frame: Frame, tol: float = 1e-8)
     # D^{-1} A* X B_null; the free corner is completed so that the Schur
     # complement is the identity, keeping G positive definite.
     mixed = (a.conj().T @ x @ b_null) / sing[:, None]
-    corner = mixed.conj().T @ (sing[:, None] ** 2 * mixed) + np.eye(count - dim, dtype=recon.dtype)
+    corner = mixed.conj().T @ (sing[:, None] ** 2 * mixed) + np.eye(count - dim, dtype=dtype)
     gram_basis = np.block(
         [
-            [np.diag(1.0 / sing**2).astype(recon.dtype), mixed],
+            [np.diag(1.0 / sing**2).astype(dtype), mixed],
             [mixed.conj().T, corner],
         ]
     )
@@ -249,13 +256,8 @@ class RankOneDecomposition:
         return outer_pair(self.lefts[i], self.rights[i])
 
     def partial_sum(self, mask: int) -> np.ndarray:
-        n = self.lefts.shape[1]
-        dtype = np.result_type(self.lefts.dtype, self.rights.dtype)
-        out = np.zeros((n, n), dtype=dtype)
-        for i in range(self.term_count):
-            if mask >> i & 1:
-                out += self.term(i)
-        return out
+        """Sum of the terms selected by `mask`, accumulated in index order."""
+        return _subsets.masked_sums(outer_pair(self.lefts, self.rights), [mask])[0]
 
 
 def rank_one_decompose(a, rel_tol: float = DEFAULT_REL_TOL) -> RankOneDecomposition:

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import _subsets
 from .errors import ZeroPair
-from .frames import Frame, _as_vector_array, frame_bounds
-from .linalg import outer_pair, spectral_norm
+from .frames import Frame, _as_vector_array, frame_bounds, reconstruction_residual
+from .linalg import outer_pair
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Framing:
             raise ValueError(f"x and y must share a shape, got {x.shape} and {y.shape}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        residual = _reconstruction_residual(x, y)
+        residual = reconstruction_residual(x, y)
         if self.tolerance is None:
             object.__setattr__(self, "tolerance", residual)
         elif residual > self.tolerance:
@@ -66,27 +66,14 @@ def multiplier_apply(framing: Framing, coeffs) -> np.ndarray:
     arr = np.asarray(coeffs)
     if arr.shape != (framing.count,):
         raise ValueError(f"need {framing.count} coefficients, got shape {arr.shape}")
-    dtype = np.result_type(framing.x.dtype, framing.y.dtype, arr.dtype, np.float64)
-    out = np.zeros((framing.dim, framing.dim), dtype=dtype)
-    for i in range(framing.count):
-        c = arr[i]
-        if c == 0:
-            continue
-        out += c * outer_pair(framing.x[i], framing.y[i])
-    return out
-
-
-def _reconstruction_residual(x: np.ndarray, y: np.ndarray) -> float:
-    dim = x.shape[1]
-    op = np.zeros((dim, dim), dtype=np.result_type(x.dtype, y.dtype))
-    for i in range(x.shape[0]):
-        op += outer_pair(x[i], y[i])
-    return spectral_norm(op - np.eye(dim, dtype=op.dtype))
+    keep = np.flatnonzero(arr)
+    terms = arr[keep, None, None] * outer_pair(framing.x[keep], framing.y[keep])
+    return _subsets.masked_sums(terms, [(1 << keep.size) - 1])[0]
 
 
 def check_reconstruction(framing: Framing) -> float:
     """Residual ||sum_i x_i (x) y_i - I|| of the reconstruction identity."""
-    return _reconstruction_residual(framing.x, framing.y)
+    return reconstruction_residual(framing.x, framing.y)
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,7 @@ def unconditionality_diagnostics(
     and `exact` is False.
     """
     n = framing.count
-    atoms = np.stack([outer_pair(framing.x[i], framing.y[i]) for i in range(n)])
+    atoms = outer_pair(framing.x, framing.y)
     total = atoms.sum(axis=0)
 
     def flipped(sums):
@@ -200,7 +187,7 @@ def is_dual_frame_pair(x_frame: Frame, y_frame: Frame, tol: float = 1e-8) -> boo
         bounds = frame_bounds(fam)
         if bounds.upper <= 0.0 or bounds.lower <= 1e-12 * bounds.upper:
             return False
-    return _reconstruction_residual(x_frame.vectors, y_frame.vectors) <= tol
+    return reconstruction_residual(x_frame.vectors, y_frame.vectors) <= tol
 
 
 def example_e11(m: int) -> Framing:
@@ -211,13 +198,9 @@ def example_e11(m: int) -> Framing:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    xs, ys = [], []
-    eye = np.eye(m)
-    for k in range(1, m + 1):
-        for _ in range(k):
-            xs.append(eye[k - 1])
-            ys.append(eye[k - 1] / k)
-    return Framing(np.array(xs), np.array(ys))
+    k = np.repeat(np.arange(1, m + 1), np.arange(1, m + 1))
+    xs = np.eye(m)[k - 1]
+    return Framing(xs, xs / k[:, None])
 
 
 def example_e11_weights(m: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -226,13 +209,8 @@ def example_e11_weights(m: int) -> tuple[list[Fraction], list[Fraction]]:
     Coordinate k (1-based) receives k copies of weight 1 on the x side and k
     copies of weight (1/k)^2 on the y side, giving sums k and 1/k exactly.
     """
-    x_sums = [Fraction(0)] * m
-    y_sums = [Fraction(0)] * m
-    for k in range(1, m + 1):
-        for _ in range(k):
-            x_sums[k - 1] += Fraction(1) ** 2
-            y_sums[k - 1] += Fraction(1, k) ** 2
-    return x_sums, y_sums
+    ks = range(1, m + 1)
+    return [k * Fraction(1) ** 2 for k in ks], [k * Fraction(1, k) ** 2 for k in ks]
 
 
 def coordinate_weight_sums(framing: Framing) -> tuple[np.ndarray, np.ndarray]:

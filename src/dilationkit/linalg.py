@@ -211,5 +211,10 @@ def psd_factor(a, rel_tol: float = DEFAULT_REL_TOL):
 
 
 def outer_pair(x, y) -> np.ndarray:
-    """Rank-one operator ``z -> <z, y> x``, i.e. the matrix ``x y*``."""
-    return np.outer(np.asarray(x), np.conj(np.asarray(y)))
+    """Rank-one operator ``z -> <z, y> x``, i.e. the matrix ``x y*``.
+
+    For (n, d) stacks of rows the result is the (n, d, d) stack of
+    ``x[i] y[i]*``; each matrix has the same bits as ``np.outer`` of its rows.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    return x[..., :, None] * np.conj(y)[..., None, :]

@@ -15,7 +15,7 @@ import numpy as np
 from . import _subsets
 from .errors import AtomRankTooHigh, TooManyAtoms
 from .framings import Framing, check_reconstruction
-from .linalg import DEFAULT_REL_TOL, outer_pair, spectral_norm
+from .linalg import DEFAULT_REL_TOL, numerical_rank, outer_pair, spectral_norm
 
 _EXHAUSTIVE_ATOM_LIMIT = 16
 
@@ -249,10 +249,7 @@ def induced_from_framing(framing: Framing, tol: float = 1e-8) -> Ovm:
         raise ValueError(
             f"framing reconstruction residual {residual:.3e} exceeds {tol:.1e}"
         )
-    atoms = np.stack(
-        [outer_pair(framing.x[i], framing.y[i]) for i in range(framing.count)]
-    )
-    return Ovm(atoms)
+    return Ovm(outer_pair(framing.x, framing.y))
 
 
 def framing_from_rank_one_ovm(
@@ -293,7 +290,7 @@ def framing_from_rank_one_ovm(
     for i, (u, s, vh) in enumerate(factors):
         if tops[i] <= rel_tol * scale:
             continue
-        if s.size > 1 and float(s[1]) > rel_tol * float(s[0]):
+        if numerical_rank(s, rel_tol) > 1:
             raise AtomRankTooHigh(i)
         root = np.sqrt(s[0])
         lead = u[:, 0]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frames import reconstruction_residual
 from .framings import Framing
 from .linalg import lp_norm, spectral_norm
 from .rng import Xorshift
@@ -109,7 +110,7 @@ def parseval_check(block: RademacherBlock) -> float:
     """||f^T f - I|| over the Parseval frame vectors f_j, an n x n spectral
     norm: the exact supremum over unit h of |sum_j <h, f_j>^2 - ||h||^2|."""
     f = parseval_frame_vectors(block)
-    return spectral_norm(f.T @ f - np.eye(block.n))
+    return reconstruction_residual(f, f)
 
 
 def dual_side_check(block: RademacherBlock) -> float:

@@ -232,6 +232,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_dilation(w, build_block_dilation(v))
 
+    def test_rank_left_uses_the_package_rank_rule(self):
+        # numpy's matrix_rank cutoff 2 * eps would count 1e-12 and report 2
+        left = np.diag([1.0, 1e-12])
+        triple = DilationTriple(left=left, right=np.eye(2), block_ranks=(2,))
+        report = verify_dilation(Ovm(left[None]), triple)
+        assert report.eval_residual == 0.0
+        assert report.rank_left == 1
+
     def test_sampled_above_limit(self):
         v = Ovm(np.full((17, 1, 1), 1.0 / 17))
         report = verify_dilation(v, build_block_dilation(v), sample_count=50)

@@ -80,11 +80,13 @@ class TestMultiplier:
 
     def test_indicator_matches_manual_partial_sum(self, rng):
         f = random_framing(rng, 5, 2, complex_field=True)
-        coeffs = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-        manual = np.zeros((2, 2), dtype=complex)
-        for i in (0, 2, 4):
-            manual += np.outer(f.x[i], f.y[i].conj())
-        assert np.array_equal(multiplier_apply(f, coeffs), manual)
+        # an indicator and a complex non-indicator coefficient vector
+        for coeffs in ([1.0, 0.0, 1.0, 0.0, 1.0], [0.5 - 2j, 0.0, -1.25, 3j, 1e-3 + 1j]):
+            manual = np.zeros((2, 2), dtype=complex)
+            for i, c in enumerate(coeffs):
+                if c != 0:
+                    manual += c * np.outer(f.x[i], f.y[i].conj())
+            assert np.array_equal(multiplier_apply(f, np.array(coeffs)), manual)
 
     def test_zero_coefficients_skipped_exactly(self):
         f = example_e11(2)

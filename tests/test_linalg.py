@@ -200,6 +200,17 @@ class TestOuterPair:
         m = outer_pair(np.array([1.0 + 0j]), np.array([1j]))
         assert m[0, 0] == -1j
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_row_stacks_match_np_outer_bitwise(self, rng, complex_field):
+        x, y = rng.normal(size=(2, 7, 4))
+        if complex_field:
+            x = x + 1j * rng.normal(size=(7, 4))
+            y = y - 1j * rng.normal(size=(7, 4))
+        stack = outer_pair(x, y)
+        assert stack.shape == (7, 4, 4)
+        for i in range(7):
+            assert np.array_equal(stack[i], np.outer(x[i], np.conj(y[i])))
+
 
 def random_hermitian(rng, n, complex_field=False):
     a = rng.normal(size=(n, n))

@@ -360,6 +360,30 @@ class TestAssembledFraming:
                 assert np.array_equal(f.x, np.array(xs))
                 assert np.array_equal(f.y, np.array(ys))
 
+    def test_level_eleven_residual_matches_compensated_sum(self):
+        f = assemble_framing(4.0, 11)
+        assert f.count == 4094
+        # each entry of sum_i x_i y_i^T, its 4094 products summed by math.fsum
+        exact = np.array(
+            [
+                [math.fsum((f.x[:, j] * f.y[:, k]).tolist()) for k in range(f.dim)]
+                for j in range(f.dim)
+            ]
+        )
+        reference = spectral_norm(exact - np.eye(f.dim))
+        assert abs(check_reconstruction(f) - reference) <= 4094 * np.finfo(float).eps
+
+    def test_level_eleven_residual_stays_below_one_mib(self):
+        # an (N, d, d) stack of the 4094 rank-one terms on R^66 would be 143 MB
+        f = assemble_framing(4.0, 11)
+        tracemalloc.start()
+        try:
+            assert check_reconstruction(f) <= 1e-9
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             assemble_framing(4.0, 0)
