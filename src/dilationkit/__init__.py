@@ -39,7 +39,6 @@ from .errors import (  # noqa: E402
     NotParseval,
     NotPositive,
     OverlappingSupports,
-    TooManyAtoms,
     ZeroPair,
 )
 from .linalg import (  # noqa: E402
@@ -138,7 +137,6 @@ __all__ = [
     "Representation",
     "RescalePlan",
     "RieszDilation",
-    "TooManyAtoms",
     "UnconditionalityReport",
     "Xorshift",
     "ZeroPair",

@@ -8,8 +8,8 @@ subset encoded by m.
 `subset_sup` is the one engine behind every "for every subset B" check on
 a measure: it certifies a supremum from atom-level bounds first, and
 enumerates or samples subset sums only for the statistics it could not
-decide.  `sample_masks` is the one sampling policy those checks use above
-their exhaustive limits.
+decide.  `sample_masks` is the one sampling policy, and the engine is its
+only caller.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ class SubsetSup:
       the atom-level bound alone;
     - "exhaustive": over all 2^n subsets, so lower == upper is the exact
       maximum;
-    - "sampled": over a given mask set, so lower is the sampled maximum and
-      upper is still the atom-level bound.
+    - "sampled": over the sampled subsets, so lower is the sampled maximum
+      and upper is still the atom-level bound.
 
     Against a threshold t the statistic passes iff lower <= t.  The verdict
     is two-sided except in "sampled" mode, where a pass only says that no
@@ -202,7 +202,9 @@ def _peak(stat: Statistic, sums: np.ndarray, masks):
     return float(values[k]), masks[k]
 
 
-def subset_sup(stack: np.ndarray, stats, sample_masks=None) -> dict:
+def subset_sup(
+    stack: np.ndarray, stats, sampled: bool = False, sample_count: int = 1000, seed: int = 0
+) -> dict:
     """Supremum over all subsets B of each statistic at sum_{j in B} stack[j].
 
     Every statistic is first evaluated at the genuine subsets the atoms give
@@ -210,9 +212,10 @@ def subset_sup(stack: np.ndarray, stats, sample_masks=None) -> dict:
     gives `lower`, and the statistic's bound gives `upper`.  A statistic is
     settled there when its threshold lies outside [lower, upper), or, with
     no threshold, when upper - lower <= SETTLE_RTOL * upper.  The statistics
-    left open share one pass over subset sums: all 2^n of them in chunks
-    when `sample_masks` is None, otherwise the given masks together with the
-    genuine subsets.
+    left open share one pass over subset sums: all 2^n of them in chunks,
+    or, when `sampled`, the subsets of sample_masks(n, sample_count, seed)
+    together with the genuine subsets.  The sample is drawn only when some
+    statistic is left open.
 
     SETTLE_RTOL = 64 eps: no enumerated value is known more closely, being
     a LAPACK norm of a sum with up to n roundings.  On a 16-atom rank-one
@@ -241,16 +244,16 @@ def subset_sup(stack: np.ndarray, stats, sample_masks=None) -> dict:
             open_stats.append(stat)
     if not open_stats:
         return results
-    if sample_masks is None:
+    if sampled:
+        masks = sorted(sample_masks(n, sample_count, seed).union(genuine))
+        passes = [(masks, masked_sums(stack, masks))]
+        examined, mode = len(masks), "sampled"
+    else:
         passes = (
             (range(base, base + len(chunk)), chunk)
             for base, chunk in iter_subset_sum_chunks(stack)
         )
         examined, mode = 1 << n, "exhaustive"
-    else:
-        masks = sorted(set(sample_masks).union(genuine))
-        passes = [(masks, masked_sums(stack, masks))]
-        examined, mode = len(masks), "sampled"
     peaks = {stat.name: (-np.inf, 0) for stat in open_stats}
     for masks, sums in passes:
         for stat in open_stats:

@@ -198,10 +198,9 @@ def cmd_frame_analyze(args) -> int:
         report["artifacts"]["dual_vectors"] = _encode_array(dual.vectors)
     if args.dilate:
         dilation = dilate_parseval_to_onb(frame, tol=args.tol)
+        # embedding* e_n = x_n, so the compressed basis is the frame itself
         compressed = dilation.embedding.conj().T
-        roundtrip = float(
-            np.abs(compressed - frame.vectors.conj().T).max()
-        )
+        roundtrip = float(np.abs(compressed - frame.vectors.T).max())
         report["checks"].append(_check("onb_roundtrip_residual", roundtrip, 1e-9))
         report["artifacts"]["embedding"] = _encode_array(dilation.embedding)
     return _emit(report)
@@ -234,12 +233,7 @@ def cmd_ovm_dilate(args) -> int:
     verdict = verify_dilation(
         ovm, triple, seed=args.seed, max_exhaustive_atoms=args.max_atoms
     )
-    cls = classify(
-        ovm,
-        sampled=ovm.atom_count > args.max_atoms,
-        seed=args.seed,
-        max_exhaustive_atoms=args.max_atoms,
-    )
+    cls = classify(ovm, seed=args.seed, max_exhaustive_atoms=args.max_atoms)
     report["artifacts"]["classification"] = {
         "is_probability": cls.is_probability,
         "is_positive": cls.is_positive,
@@ -348,7 +342,7 @@ def cmd_chl5(args) -> int:
         fixes = float(np.abs(rademacher.project(block, block.r.T) - block.r.T).max())
         parseval = rademacher.parseval_check(block)
         dual_side = rademacher.dual_side_check(block)
-        r_norm_defect = max(abs(lp_norm(row, block.p) - 1.0) for row in block.r)
+        r_norm_defect = float(np.abs(lp_norm(block.r, block.p) - 1.0).max())
         lower, upper, maximizer = rademacher.projection_norm_bounds(block, start)
         # a function of the first n signs, where P_{n+1} acts as P_n
         start = np.repeat(maximizer, 2)
@@ -445,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-atoms",
         type=int,
         default=_EXHAUSTIVE_ATOM_LIMIT,
-        help="exhaustive subset limit; beyond it verification samples subsets",
+        help=(
+            "exhaustive subset limit; beyond it verification and classification "
+            "sample subsets for the checks the atoms leave undecided"
+        ),
     )
     ovm.add_argument("--output", help="write the dilation triple to this JSON file")
     ovm.set_defaults(handler=cmd_ovm_dilate)

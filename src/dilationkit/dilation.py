@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _subsets
-from .errors import ExactModeTooLarge, IndefiniteInput, NotPositive, TooManyAtoms
+from .errors import ExactModeTooLarge, IndefiniteInput, NotPositive
 from .linalg import (
     DEFAULT_REL_TOL,
     fix_column_phases,
@@ -282,27 +282,24 @@ class DilationTriple:
         """Stack of left @ F({j}) @ right, the product of atom j's columns of
         left and rows of right; subset sums of these are the dilated measure,
         by linearity."""
-        return np.stack([self.evaluate(1 << j) for j in range(self.atom_count)])
+        offsets = np.cumsum((0,) + self.block_ranks)
+        return np.stack(
+            [self.left[:, lo:hi] @ self.right[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        )
 
 
-def _assemble(ovm: Ovm, factors) -> DilationTriple:
+def _assemble(factors) -> DilationTriple:
     """Triple from per-atom factorizations E({j}) = a_j @ b_j.
 
     left places a_0, ..., a_{n-1} side by side, right stacks b_0, ...,
     b_{n-1}, and block j has the r_j coordinates of a_j (d_out x r_j) and
     b_j (r_j x d_in), so left @ F(B) @ right = sum_{j in B} a_j b_j.
     """
-    ranks = tuple(b.shape[0] for _, b in factors)
-    triple = DilationTriple(
-        left=np.zeros((ovm.dim_out, sum(ranks)), dtype=ovm.atoms.dtype),
-        right=np.zeros((sum(ranks), ovm.dim_in), dtype=ovm.atoms.dtype),
-        block_ranks=ranks,
+    return DilationTriple(
+        left=np.hstack([a for a, _ in factors]),
+        right=np.vstack([b for _, b in factors]),
+        block_ranks=tuple(b.shape[0] for _, b in factors),
     )
-    for j, (a, b) in enumerate(factors):
-        block = triple._selected(1 << j)
-        triple.left[:, block] = a
-        triple.right[block] = b
-    return triple
 
 
 def build_block_dilation(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> DilationTriple:
@@ -319,7 +316,7 @@ def build_block_dilation(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> Dilation
         u, s, _ = np.linalg.svd(atom)
         q = fix_column_phases(u[:, : numerical_rank(s, rel_tol)])
         factors.append((q, q.conj().T @ atom))
-    return _assemble(ovm, factors)
+    return _assemble(factors)
 
 
 @dataclass(frozen=True)
@@ -377,7 +374,7 @@ def naimark_dilate(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> NaimarkDilatio
         except IndefiniteInput as exc:
             raise NotPositive(j, f"atom {j} is not positive semidefinite: {exc}") from exc
         factors.append((v.conj().T, v))
-    triple = _assemble(ovm, factors)
+    triple = _assemble(factors)
     return NaimarkDilation(isometry=triple.right, block_ranks=triple.block_ranks)
 
 
@@ -435,25 +432,23 @@ def verify_dilation(
     residual is at most sum_j ||Delta_j||, while the empty set, the
     singletons and the full set give genuine values.  Only when EVAL_TOL
     lies between the two are subsets enumerated: exhaustively for measures
-    with at most `max_exhaustive_atoms` atoms, above that on the subsets of
-    _subsets.sample_masks(n, sample_count, seed), recorded in the `sampled`
-    flag.
+    with at most `max_exhaustive_atoms` atoms, above that on the subsets
+    _subsets.sample_masks draws from `sample_count` and `seed`.  The
+    `sampled` flag records that the atom count is above the limit.
     """
     if triple.atom_count != ovm.atom_count:
         raise ValueError("triple and measure have different atom counts")
     if triple.dim_out != ovm.dim_out or triple.dim_in != ovm.dim_in:
         raise ValueError("triple and measure have mismatched dimensions")
-    n = ovm.atom_count
     deltas = ovm.atoms - triple.atom_products()
-    sampled = n > max_exhaustive_atoms
-    masks = _subsets.sample_masks(n, sample_count, seed) if sampled else None
+    sampled = ovm.atom_count > max_exhaustive_atoms
     residual = _subsets.Statistic(
         "eval_residual",
         _subsets.batched_spectral_norms,
         float(_subsets.batched_spectral_norms(deltas).sum()),
         EVAL_TOL,
     )
-    sup = _subsets.subset_sup(deltas, [residual], masks)
+    sup = _subsets.subset_sup(deltas, [residual], sampled, sample_count, seed)
     result = sup["eval_residual"]
     certified_pass = result.mode == "certified" and result.upper <= EVAL_TOL
     eval_residual = result.upper if certified_pass else result.lower
@@ -515,13 +510,10 @@ def minimality_gap(ovm: Ovm, rep: Representation, triple: DilationTriple) -> Min
 
     Raises
     ------
-    TooManyAtoms
-        If the measure has more than _EXHAUSTIVE_ATOM_LIMIT atoms.
+    ExactModeTooLarge
+        From alpha_norm, if more than its exact limit of atoms have nonzero
+        images.
     """
-    if ovm.atom_count > _EXHAUSTIVE_ATOM_LIMIT:
-        raise TooManyAtoms(
-            f"minimality gap needs at most {_EXHAUSTIVE_ATOM_LIMIT} atoms"
-        )
     alpha = alpha_norm(ovm, rep).value
     acc = np.zeros(
         triple.total_dim,

@@ -36,11 +36,6 @@ class ZeroPair(DilationKitError, ValueError):
         super().__init__(f"pairs with zero norm product at indices {self.indices}")
 
 
-class TooManyAtoms(DilationKitError, ValueError):
-    """Exhaustive subset enumeration was requested above the supported atom
-    count; use sampled mode instead."""
-
-
 class AtomRankTooHigh(DilationKitError, ValueError):
     """An atom expected to be rank at most one has numerical rank >= 2.
     Carries the offending atom index."""

@@ -106,9 +106,9 @@ def unconditionality_diagnostics(
     sum_i s_i T_i = T_full - 2 sum_{i in B} T_i for the flip set B.  Both
     suprema go through _subsets.subset_sup with the bound sum_i ||T_i||,
     which holds by the triangle inequality: ||sum_{i in B} T_i|| and
-    ||sum_i s_i T_i|| are both at most sum_i ||T_i||.  Above 20 pairs the
-    subsets of _subsets.sample_masks(n, sample_count, seed) are examined
-    and `exact` is False.
+    ||sum_i s_i T_i|| are both at most sum_i ||T_i||.  Above 20 pairs
+    `exact` is False, and a supremum the bound leaves open is taken over the
+    subsets _subsets.sample_masks draws from `sample_count` and `seed`.
     """
     n = framing.count
     atoms = outer_pair(framing.x, framing.y)
@@ -123,8 +123,7 @@ def unconditionality_diagnostics(
         _subsets.Statistic("K_u", flipped, bound),
     ]
     exact = n <= _EXHAUSTIVE_PATTERN_LIMIT
-    masks = None if exact else _subsets.sample_masks(n, sample_count, seed)
-    sup = _subsets.subset_sup(atoms, stats, masks)
+    sup = _subsets.subset_sup(atoms, stats, not exact, sample_count, seed)
     return UnconditionalityReport(sup["K_u"].lower, exact, sup["subset_sup"].lower)
 
 

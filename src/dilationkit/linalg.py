@@ -34,41 +34,46 @@ def _require_square(a, name="matrix"):
     return arr
 
 
-def lp_norm(v, p) -> float:
-    """l_p norm of a vector.
+def lp_norm(v, p):
+    """l_p norm of a vector, or of each row of a stack of vectors.
 
     Parameters
     ----------
     v : array_like
-        One-dimensional real or complex vector.
+        Real or complex vector, or an (m, k) array of m row vectors.
     p : float
         Norm exponent, ``1 <= p <= inf``.  ``math.inf`` gives the max norm.
 
     Returns
     -------
-    float
+    float for a vector, numpy.ndarray of the m row norms for a stack; each
+    row norm has the same bits as the norm of that row alone.
 
     Raises
     ------
     ValueError
-        If ``p < 1`` (not a norm) or `v` is not one-dimensional.
+        If ``p < 1`` (not a norm) or `v` is neither one- nor two-dimensional.
     """
     arr = np.asarray(v)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a stack of rows, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("vector contains non-finite entries")
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be at least 1, got {p}")
-    mags = np.abs(arr)
-    if arr.size == 0:
-        return 0.0
-    peak = float(mags.max())
-    if math.isinf(p) or peak == 0.0:
-        return peak
-    # Scale by the peak so that large exponents cannot overflow.
-    return peak * float(np.sum((mags / peak) ** p)) ** (1.0 / p)
+    rows = np.abs(np.atleast_2d(arr)).astype(np.float64, copy=False)
+    peaks = rows.max(axis=1, initial=0.0)
+    if not math.isinf(p):
+        # Scale by the peak so that large exponents cannot overflow; a zero
+        # row stays zero.  The root goes through Python's scalar pow: numpy's
+        # vectorised pow can round differently, and a row's norm must not
+        # depend on whether it is taken alone or in a stack.
+        rows /= np.where(peaks == 0.0, 1.0, peaks)[:, None]
+        rows **= p
+        sums = rows.sum(axis=1).tolist()
+        peaks = peaks * np.array([total ** (1.0 / p) for total in sums])
+    return float(peaks[0]) if arr.ndim == 1 else peaks
 
 
 def spectral_norm(a) -> float:

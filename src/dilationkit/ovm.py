@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _subsets
-from .errors import AtomRankTooHigh, TooManyAtoms
+from .errors import AtomRankTooHigh
 from .framings import Framing, check_reconstruction
 from .linalg import DEFAULT_REL_TOL, numerical_rank, outer_pair, spectral_norm
 
@@ -79,13 +79,13 @@ def dual_ovm(ovm: Ovm) -> Ovm:
 class OvmClassification:
     """Classification flags, each meaning 'within tolerance on every subset'.
 
-    `sampled` is True when the measure is classified in sampled mode (its
-    atom count is above the exhaustive limit, or sampling was requested).
-    It does not make every flag one-sided: `subset_sup` maps each subset
-    statistic behind the flags to its SubsetSup, and a flag whose statistic
-    has mode "certified" or "exhaustive" is two-sided.  Only a flag whose
-    statistic has mode "sampled" is one-sided: a False is definitive, a True
-    only says that no sampled subset violated it.
+    `sampled` is True when the atom count is above the exhaustive limit, so
+    that subsets are sampled instead of enumerated for any statistic the
+    atoms leave open.  It does not make every flag one-sided: `subset_sup`
+    maps each subset statistic behind the flags to its SubsetSup, and a flag
+    whose statistic has mode "certified" or "exhaustive" is two-sided.  Only
+    a flag whose statistic has mode "sampled" is one-sided: a False is
+    definitive, a True only says that no sampled subset violated it.
     """
 
     is_probability: bool
@@ -102,7 +102,6 @@ def classify(
     ovm: Ovm,
     tol: float = 1e-10,
     *,
-    sampled: bool = False,
     sample_count: int = 1000,
     seed: int = 0,
     max_exhaustive_atoms: int = _EXHAUSTIVE_ATOM_LIMIT,
@@ -111,21 +110,12 @@ def classify(
 
     Each supremum is certified from the atoms when the atom-level bounds
     decide it (see the statistic functions below for the proofs), and only
-    otherwise enumerated over all 2^n subsets.  Sampled mode, which larger
-    measures must opt in to, replaces that enumeration with the subsets of
-    _subsets.sample_masks(n, sample_count, seed).
-
-    Raises
-    ------
-    TooManyAtoms
-        If n exceeds the exhaustive limit and sampled mode was not requested.
+    otherwise enumerated over all 2^n subsets.  Above
+    `max_exhaustive_atoms` atoms, as in verify_dilation, `sampled` is set and
+    the statistics left open are taken over the subsets that
+    _subsets.sample_masks draws from `sample_count` and `seed` instead.
     """
-    n = ovm.atom_count
-    if n > max_exhaustive_atoms and not sampled:
-        raise TooManyAtoms(
-            f"{n} atoms exceed the exhaustive limit {max_exhaustive_atoms}; "
-            "pass sampled=True for sampled classification"
-        )
+    sampled = ovm.atom_count > max_exhaustive_atoms
     atoms = ovm.atoms
     total = ovm.evaluate(ovm.full_mask)
     norm_bound = float(_subsets.batched_spectral_norms(atoms).sum())
@@ -148,8 +138,7 @@ def classify(
         probability = spectral_norm(total - eye) <= tol
         spectral = float(pairs.max()) <= tol
     stats.append(_subsets.Statistic("ovm_norm", _subsets.batched_spectral_norms, norm_bound))
-    masks = _subsets.sample_masks(n, sample_count, seed) if sampled else None
-    sup = _subsets.subset_sup(atoms, stats, masks)
+    sup = _subsets.subset_sup(atoms, stats, sampled, sample_count, seed)
 
     def passes(name):
         return name in sup and sup[name].lower <= tol

@@ -111,6 +111,18 @@ class TestFrameAnalyze:
         assert names["onb_roundtrip_residual"]["pass"]
         assert report["artifacts"]["dual_vectors"] == np.eye(3).tolist()
 
+    def test_complex_parseval_frame_dilates(self, capsys, tmp_path):
+        # rows of a matrix with orthonormal columns: 5 vectors, Parseval on C^2
+        g = np.random.default_rng(5).normal(size=(5, 2, 2)) @ np.array([1.0, 1j])
+        q, _ = np.linalg.qr(g)
+        vectors = [[[z.real, z.imag] for z in row] for row in q]
+        path = write_doc(tmp_path / "complex.json", {"dim": 2, "vectors": vectors})
+        code, report, _ = run(capsys, "frame-analyze", path, "--dilate")
+        assert code == 0
+        assert report["artifacts"]["parseval"] is True
+        names = {c["name"]: c for c in report["checks"]}
+        assert names["onb_roundtrip_residual"]["value"] <= 1e-12
+
     def test_deficient_lower_bound(self, capsys, deficient):
         code, report, _ = run(capsys, "frame-analyze", deficient)
         assert code == 0

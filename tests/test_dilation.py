@@ -8,7 +8,6 @@ from dilationkit import (
     NotPositive,
     Ovm,
     Representation,
-    TooManyAtoms,
     alpha_norm,
     alpha_norm_bounds,
     build_block_dilation,
@@ -367,8 +366,15 @@ class TestMinimality:
         gap = minimality_gap(v, rep, naimark_dilate(v).as_triple())
         assert gap.alpha <= gap.constant * gap.triple_norm + 1e-9
 
-    def test_atom_ceiling(self):
-        v = Ovm(np.full((17, 1, 1), 1.0 / 17))
-        rep = Representation.from_terms([(1.0, 1, [1.0])])
-        with pytest.raises(TooManyAtoms):
+    def test_seventeen_atoms_need_no_enumeration(self, rng):
+        # the constant is ||left||, so only alpha_norm's term limit applies
+        v = random_general_ovm(rng, 17, 2, 2, complex_field=True)
+        rep = random_representation(rng, v, 3, complex_field=True)
+        gap = minimality_gap(v, rep, build_block_dilation(v))
+        assert gap.alpha <= gap.constant * gap.triple_norm + 1e-9
+
+    def test_twenty_five_nonzero_images_raise(self):
+        v = Ovm(np.full((25, 1, 1), 1.0 / 25))
+        rep = Representation.from_terms([(1.0, v.full_mask, [1.0])])
+        with pytest.raises(ExactModeTooLarge):
             minimality_gap(v, rep, build_block_dilation(v))

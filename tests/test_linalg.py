@@ -34,6 +34,10 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm([1.0, 2.0], 0.5)
 
+    def test_integer_rows(self):
+        assert lp_norm([3, 4], 2) == 5.0
+        assert lp_norm(np.array([[3, 4], [0, 0]]), 2).tolist() == [5.0, 0.0]
+
     def test_zero_vector(self):
         assert lp_norm(np.zeros(5), 3) == 0.0
 
@@ -55,6 +59,17 @@ class TestLpNorm:
         v = np.array(entries)
         lo, hi = sorted((p, q))
         assert lp_norm(v, hi) <= lp_norm(v, lo) * (1 + 1e-12) + 1e-300
+
+    @given(
+        st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=1, max_size=6),
+        st.one_of(st.floats(min_value=1.0, max_value=64.0), st.just(math.inf)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_single_vectors(self, rows, p):
+        stack = np.array(rows + [[0.0, 0.0, 0.0]])
+        norms = lp_norm(stack, p)
+        assert norms.shape == (len(stack),)
+        assert norms.tolist() == [lp_norm(row, p) for row in stack]
 
 
 class TestSpectralNorm:

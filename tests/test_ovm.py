@@ -7,7 +7,6 @@ from dilationkit import (
     AtomRankTooHigh,
     Framing,
     Ovm,
-    TooManyAtoms,
     classify,
     dual_ovm,
     framing_from_rank_one_ovm,
@@ -149,24 +148,24 @@ class TestClassify:
         assert c.is_spectral
 
     def test_exhaustive_limit(self):
+        # above the limit classify samples, as verify_dilation does
         atoms = np.full((17, 1, 1), 1.0 / 17)
         v = Ovm(atoms)
-        with pytest.raises(TooManyAtoms):
-            classify(v)
-        c = classify(v, sampled=True, sample_count=50)
+        c = classify(v, sample_count=50)
         assert c.sampled
         assert c.is_probability
+        assert not classify(v, max_exhaustive_atoms=17).sampled
 
     def test_lowered_limit(self):
         v = Ovm(np.full((5, 1, 1), 0.2))
-        with pytest.raises(TooManyAtoms):
-            classify(v, max_exhaustive_atoms=4)
+        assert classify(v, max_exhaustive_atoms=4).sampled
         c = classify(v, max_exhaustive_atoms=5)
         assert not c.sampled
 
     def test_sampled_catches_singleton_violation(self):
         v = Ovm(np.stack([np.diag([-1.0, 0.0])] + [np.diag([0.5, 0.25])] * 4))
-        c = classify(v, sampled=True, sample_count=10)
+        c = classify(v, sample_count=10, max_exhaustive_atoms=0)
+        assert c.sampled
         assert not c.is_positive
 
 

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from dilationkit import apply_rescale, check_reconstruction, frame_bounds, rescale_sqrt
+from dilationkit import rademacher
 from dilationkit.linalg import lp_norm, spectral_norm
 from dilationkit.rademacher import (
     MAX_LEVEL,
@@ -24,6 +25,7 @@ from dilationkit.rademacher import (
     projection_ratio,
     sign_matrix,
 )
+from dilationkit.rng import Xorshift
 
 P_VALUES = (4.0 / 3.0, 1.5, 4.0, 6.0)
 
@@ -298,6 +300,20 @@ class TestKhintchine:
                 else:
                     assert abs(report.upper - 1.0) <= 1e-12, (p, n)
                     assert report.lower >= haagerup_a(p) * (1 - 1e-12), (p, n)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_matches_the_per_vector_loop(self, monkeypatch, chunk_rows):
+        # one product per row chunk sums in another order than one vector at
+        # a time, so the ratios agree to rounding, not bit for bit
+        block = build_block(5, 4.0)
+        if chunk_rows is not None:
+            monkeypatch.setattr(rademacher, "_KHINTCHINE_CHUNK", chunk_rows << block.n)
+        report = khintchine_report(block, trials=150, seed=3)
+        samples = np.vstack([np.eye(block.n), Xorshift(3).normals((150, block.n))])
+        ratios = [lp_norm(a @ block.r, block.p) / np.linalg.norm(a) for a in samples]
+        assert report.samples == len(ratios)
+        assert report.lower == pytest.approx(min(ratios), abs=0, rel=1e-14)
+        assert report.upper == pytest.approx(max(ratios), abs=0, rel=1e-14)
 
     def test_envelope_brackets_exact_ratio(self):
         # the balanced vector is among the normals' reachable ratios

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilationkit
+from dilationkit import _subsets
 from dilationkit import (
     DilationTriple,
     Ovm,
@@ -151,7 +152,7 @@ class TestClassifyAgainstBruteForce:
         # sampling keeps the atom-level bound of ovm_norm, so each upper here
         # is the proved bound rather than an enumerated maximum.
         ovm = random_measure(*params)
-        cls = classify(ovm, tol=math.inf, sampled=True, sample_count=0)
+        cls = classify(ovm, tol=math.inf, sample_count=0, max_exhaustive_atoms=0)
         for name, reference in reference_maxima(ovm).items():
             sup = cls.subset_sup[name]
             assert sup.mode in ("certified", "sampled")
@@ -203,13 +204,16 @@ class TestEngine:
         assert sup.witness_atoms == [0, 2]
 
     def test_sampled_statistic_keeps_the_bound(self):
-        stack = np.array([[[1.0]], [[-1.0]], [[1.0]]])
-        stat = Statistic("norm", batched_spectral_norms, 3.0, 1.5)
-        sup = subset_sup(stack, [stat], sample_masks=[0b011])["norm"]
+        # the genuine subsets and the pairs reach 2 and the bound is 4, so a
+        # threshold of 2.5 is open; with no draws the maximum 3 at {0, 2, 3}
+        # is missed
+        stack = np.array([[[1.0]], [[-1.0]], [[1.0]], [[1.0]]])
+        stat = Statistic("norm", batched_spectral_norms, 4.0, 2.5)
+        sup = subset_sup(stack, [stat], sampled=True, sample_count=0)["norm"]
         assert sup.mode == "sampled"
-        assert sup.subsets_examined == 6
-        assert sup.lower == 1.0
-        assert sup.upper == 3.0
+        assert sup.subsets_examined == 12
+        assert sup.lower == 2.0
+        assert sup.upper == 4.0
 
     def test_decided_statistics_are_not_enumerated(self):
         stack = np.array([[[1.0]], [[-1.0]], [[1.0]]])
@@ -308,9 +312,26 @@ def test_sample_masks_contain_the_earlier_policies(n, seed):
 
 
 def test_only_the_engine_enumerates_or_draws_masks():
-    pattern = re.compile(r"\biter_subset_sum_chunks\(|\.mask\(")
+    pattern = re.compile(r"\biter_subset_sum_chunks\(|\.mask\(|\bsample_masks\(")
     package = Path(dilationkit.__file__).parent
     callers = sorted(
         path.name for path in package.glob("*.py") if pattern.search(path.read_text())
     )
     assert callers == ["_subsets.py"]
+
+
+def test_certified_checks_draw_no_sample(monkeypatch):
+    # 40 atoms are above the exhaustive limit, but every statistic of a
+    # rank-one Parseval measure is certified, so no subset is sampled
+    def refuse(*args):
+        raise AssertionError("a certified check drew a sample")
+
+    monkeypatch.setattr(_subsets, "sample_masks", refuse)
+    ovm = rank_one_parseval_povm(np.random.default_rng(3), 40, 4)
+    report = verify_dilation(ovm, naimark_dilate(ovm).as_triple())
+    cls = classify(ovm)
+    assert report.sampled and cls.sampled
+    assert report.eval_residual <= TOL
+    assert cls.is_probability and cls.is_positive and not cls.is_projection_valued
+    sups = {**cls.subset_sup, **report.subset_sup}
+    assert all(sup.mode == "certified" for sup in sups.values())
