@@ -147,12 +147,18 @@ def _check(name: str, value: float, threshold: float, passed=None) -> dict:
     }
 
 
-def _encode_array(arr: np.ndarray):
+def _as_real(arr: np.ndarray) -> np.ndarray:
+    """The JSON form of an array: complex entries become [re, im] pairs
+    along a new last axis.  Raises ValueError on a nan or inf entry."""
     if np.iscomplexobj(arr):
-        if arr.ndim == 1:
-            return [[float(v.real), float(v.imag)] for v in arr]
-        return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-    return arr.tolist()
+        arr = np.stack([arr.real, arr.imag], -1)
+    if not np.isfinite(arr).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return arr
+
+
+def _encode_array(arr: np.ndarray):
+    return _as_real(arr).tolist()
 
 
 def _emit(report: dict) -> int:
@@ -161,13 +167,59 @@ def _emit(report: dict) -> int:
     return 0 if report["pass"] else 1
 
 
+def _json_chunks(obj, level: int = 0, memo=None, checked: bool = False):
+    """Text of json.dumps(obj, sort_keys=True, indent=2, allow_nan=False),
+    in chunks, where obj may hold ndarrays in place of their _encode_array
+    and its dict keys are strings.
+
+    Each array goes through _as_real once; `checked` marks the rows of one
+    that did.  A float64 row is written by float.__repr__, the json
+    module's own float form, and its text is kept by (level, bytes): rows
+    with equal bytes have equal floats, so the diagonal 0/1 blocks of a
+    dilation's F atoms are formatted once per distinct row.
+    """
+    memo = {} if memo is None else memo
+    pad, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(obj, np.ndarray):
+        if not checked:
+            obj = _as_real(obj)
+        if obj.dtype == np.float64 and obj.ndim == 1 and obj.size:
+            key = (level, obj.tobytes())
+            if key not in memo:
+                text = ("," + pad).join(map(float.__repr__, obj.tolist()))
+                memo[key] = "[" + pad + text + close + "]"
+            yield memo[key]
+            return
+        if obj.dtype != np.float64 or obj.ndim == 0:
+            obj = obj.tolist()
+    if isinstance(obj, dict):
+        brackets = "{}"
+        entries = [(json.dumps(key) + ": ", obj[key]) for key in sorted(obj)]
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        brackets = "[]"
+        entries = [("", item) for item in obj]
+    else:
+        yield json.dumps(obj, allow_nan=False)
+        return
+    if not entries:
+        yield brackets
+        return
+    sep = brackets[0] + pad
+    checked = isinstance(obj, np.ndarray)
+    for prefix, item in entries:
+        yield sep + prefix
+        yield from _json_chunks(item, level + 1, memo, checked)
+        sep = "," + pad
+    yield close + brackets[1]
+
+
 def _write_json_atomic(path: str, doc) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True, indent=2, allow_nan=False)
+            handle.writelines(_json_chunks(doc))
             handle.write("\n")
         os.replace(tmp, path)
     except OSError as exc:
@@ -231,7 +283,7 @@ def cmd_ovm_dilate(args) -> int:
     else:
         triple = build_block_dilation(ovm, rel_tol=args.tol)
     verdict = verify_dilation(
-        ovm, triple, seed=args.seed, max_exhaustive_atoms=args.max_atoms
+        ovm, triple, seed=args.seed, max_exhaustive_atoms=args.max_atoms, rel_tol=args.tol
     )
     cls = classify(ovm, seed=args.seed, max_exhaustive_atoms=args.max_atoms)
     report["artifacts"]["classification"] = {
@@ -282,9 +334,9 @@ def cmd_ovm_dilate(args) -> int:
         _write_json_atomic(
             args.output,
             {
-                "left": _encode_array(triple.left),
-                "right": _encode_array(triple.right),
-                "f_atoms": [_encode_array(f) for f in triple.f_atoms],
+                "left": triple.left,
+                "right": triple.right,
+                "f_atoms": triple.f_atoms,
                 "block_ranks": list(triple.block_ranks),
             },
         )

@@ -395,8 +395,8 @@ class DilationReport:
     triple's F is a coordinate partition.  The probability fields are None
     unless the measure of the full set is the identity, in which case they
     certify that right @ left is idempotent.  `rank_left` is the numerical
-    rank of left under linalg.numerical_rank at DEFAULT_REL_TOL, the rule
-    behind every rank here.  `block_rank_pairs` lists (rank F({j}),
+    rank of left under linalg.numerical_rank at verify_dilation's rel_tol,
+    the rule behind every rank here.  `block_rank_pairs` lists (rank F({j}),
     rank E({j})); a structure-preserving dilation keeps them equal.  `sampled` is True when the atom count is above the exhaustive
     limit; a certified eval_residual verdict is two-sided even then.
     """
@@ -423,9 +423,11 @@ def verify_dilation(
     sample_count: int = 1000,
     seed: int = 0,
     max_exhaustive_atoms: int = _EXHAUSTIVE_ATOM_LIMIT,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> DilationReport:
     """Measure how well a triple dilates a measure; raises nothing on bad
-    triples, the residuals simply grow.
+    triples, the residuals simply grow.  Ranks are counted by
+    linalg.numerical_rank at `rel_tol`, the cutoff the triple was built with.
 
     The eval residual is certified against EVAL_TOL first.  By linearity
     E(B) - left F(B) right = sum_{j in B} Delta_j, so every subset's
@@ -452,13 +454,13 @@ def verify_dilation(
     result = sup["eval_residual"]
     certified_pass = result.mode == "certified" and result.upper <= EVAL_TOL
     eval_residual = result.upper if certified_pass else result.lower
-    rank_left = numerical_rank(np.linalg.svd(triple.left, compute_uv=False))
+    rank_left = numerical_rank(np.linalg.svd(triple.left, compute_uv=False), rel_tol)
     if triple.right.size:
         right_min_singular = float(np.linalg.svd(triple.right, compute_uv=False).min())
     else:
         right_min_singular = 0.0
     pairs = tuple(
-        (f_rank, numerical_rank(np.linalg.svd(atom, compute_uv=False)))
+        (f_rank, numerical_rank(np.linalg.svd(atom, compute_uv=False), rel_tol))
         for f_rank, atom in zip(triple.block_ranks, ovm.atoms)
     )
     e_total_residual = None

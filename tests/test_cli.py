@@ -163,6 +163,22 @@ class TestOvmDilate:
         args = build_parser().parse_args(["ovm-dilate", "m.json", "--block"])
         assert args.tol == DEFAULT_REL_TOL
 
+    @pytest.mark.parametrize("mode", ["--block", "--naimark"])
+    def test_tol_reaches_the_rank_check(self, capsys, tmp_path, mode):
+        # --tol 1e-12 keeps the 1e-11 direction, so rank_preservation must count it
+        doc = {
+            "dim_in": 2,
+            "dim_out": 2,
+            "atoms": [[[1.0, 0.0], [0.0, 1e-11]], [[0.0, 0.0], [0.0, 1.0]]],
+        }
+        path = write_doc(tmp_path / "small.json", doc)
+        code, report, _ = run(capsys, "ovm-dilate", path, mode, "--tol", "1e-12")
+        assert code == 0
+        assert report["artifacts"]["block_ranks"] == [2, 1]
+        code, report, _ = run(capsys, "ovm-dilate", path, mode)
+        assert code == 0
+        assert report["artifacts"]["block_ranks"] == [1, 1]
+
     def test_povm_naimark(self, capsys, povm):
         code, report, _ = run(capsys, "ovm-dilate", povm, "--naimark")
         assert code == 0

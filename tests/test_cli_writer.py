@@ -1,0 +1,177 @@
+"""The streaming writer behind `ovm-dilate --output`.
+
+`cli._json_chunks` must produce exactly the text of
+json.dumps(..., sort_keys=True, indent=2, allow_nan=False) on the same
+document with every array replaced by its nested lists, write nothing
+on a non-finite entry, and never hold the triple as Python lists.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dilationkit.cli import _encode_array, _json_chunks, _write_json_atomic, main
+from dilationkit.dilation import DilationTriple
+
+EDGE_FLOATS = [-0.0, 0.0, 1.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+reals = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def listed(x):
+    """Nested lists of a tolist(), complex entries as [re, im]."""
+    if isinstance(x, list):
+        return [listed(v) for v in x]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    return x
+
+
+@st.composite
+def arrays(draw):
+    """Real or complex arrays of 1 to 3 dimensions (some empty), their
+    entries drawn from a pool of at most four floats so rows repeat."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    pool = draw(st.lists(reals, min_size=1, max_size=4))
+    size = int(np.prod(shape))
+    parts = 2 if draw(st.booleans()) else 1
+    picks = draw(st.lists(st.sampled_from(pool), min_size=parts * size, max_size=parts * size))
+    values = np.array(picks, dtype=float).reshape((parts,) + shape)
+    if parts == 1:
+        return values[0]
+    # assigned, not added: 1j * x turns -0.0 into 0.0 and 1j * 1e308 overflows
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = values
+    return out
+
+
+leaves = st.one_of(
+    arrays(),
+    st.lists(st.integers(0, 10), max_size=4),
+    st.integers(-5, 5),
+    reals,
+    st.none(),
+    st.booleans(),
+    st.text(max_size=2),
+)
+documents = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return listed(obj.tolist())
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(value) for value in obj]
+    return obj
+
+
+def written(doc) -> str:
+    return "".join(_json_chunks(doc))
+
+
+def expected(doc) -> str:
+    return json.dumps(as_lists(doc), sort_keys=True, indent=2, allow_nan=False)
+
+
+class TestSameText:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(), documents)
+    def test_matches_json_dumps(self, arr, rest):
+        # the same array at four nesting levels, next to an empty list,
+        # an empty dict and an int list such as block_ranks
+        doc = {
+            "f_atoms": arr,
+            "nested": [[arr], arr, {"again": [[[arr]]]}],
+            "block_ranks": [8, 8, 1],
+            "empty": [],
+            "none": {},
+            "rest": rest,
+        }
+        assert written(doc) == expected(doc)
+        assert written(rest) == expected(rest)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays())
+    def test_encode_array_is_the_written_form(self, arr):
+        assert _encode_array(arr) == listed(arr.tolist())
+        assert written(arr) == expected(arr)
+
+    def test_block_triple_rows_are_formatted_once(self):
+        # 24 blocks of rank 8: 193 distinct rows among the 4608 of f_atoms
+        ranks = (8,) * 24
+        triple = DilationTriple(np.ones((8, 192)), np.ones((192, 8)), ranks)
+        doc = {"f_atoms": triple.f_atoms, "block_ranks": list(ranks)}
+        memo = {}
+        text = "".join(_json_chunks(doc, memo=memo))
+        assert len(memo) == 193
+        assert text == expected(doc)
+
+
+class TestAtomicFailure:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_writes_nothing(self, tmp_path, bad):
+        target = tmp_path / "triple.json"
+        left = np.eye(2, dtype=type(bad))
+        left[1, 0] = bad
+        doc = {"left": left, "right": np.eye(2), "f_atoms": np.eye(2)[None], "block_ranks": [2]}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json_atomic(str(target), doc)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_exits_one_without_traceback(self, capsys, tmp_path, monkeypatch):
+        # nothing but the write reads f_atoms, so a nan there reaches only it
+        def nan_atoms(self):
+            atoms = np.zeros((self.atom_count, self.total_dim, self.total_dim))
+            atoms[0, 0, 0] = np.nan
+            return atoms
+
+        monkeypatch.setattr(DilationTriple, "f_atoms", property(nan_atoms))
+        doc = {"dim_in": 1, "dim_out": 1, "atoms": [[[0.5]], [[0.5]]]}
+        path = tmp_path / "ovm.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        target = tmp_path / "triple.json"
+        code = main(["ovm-dilate", str(path), "--block", "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: Out of range float values are not JSON compliant\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ovm.json"]
+
+
+def test_block_triple_write_stays_below_sixteen_mib(tmp_path):
+    # 24 atoms of 8 x 8 give T = 192, so f_atoms alone is 7 MiB of float64;
+    # as Python lists and floats it traced about 34 MiB
+    rng = np.random.default_rng(0)
+    atoms = []
+    for _ in range(24):
+        u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        atoms.append((u * rng.uniform(0.5, 1.5, 8)) @ v.T)
+    path = tmp_path / "ovm.json"
+    path.write_text(
+        json.dumps({"dim_in": 8, "dim_out": 8, "atoms": np.stack(atoms).tolist()}),
+        encoding="utf-8",
+    )
+    target = tmp_path / "triple.json"
+    tracemalloc.start()
+    try:
+        code = main(["ovm-dilate", str(path), "--block", "--output", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(target.read_text(encoding="utf-8"))["f_atoms"]) == 24
+    assert peak < 16 << 20

@@ -239,6 +239,16 @@ class TestVerify:
         assert report.eval_residual == 0.0
         assert report.rank_left == 1
 
+    def test_ranks_are_counted_at_the_construction_cutoff(self):
+        # the 1e-11 direction is kept at a 1e-12 cutoff and dropped at the default
+        v = Ovm(np.array([np.diag([1.0, 1e-11]), np.diag([0.0, 1.0])]))
+        triple = build_block_dilation(v, rel_tol=1e-12)
+        assert triple.block_ranks == (2, 1)
+        report = verify_dilation(v, triple, rel_tol=1e-12)
+        assert report.block_rank_pairs == ((2, 2), (1, 1))
+        assert report.ranks_match and report.rank_left == 2
+        assert not verify_dilation(v, triple).ranks_match
+
     def test_sampled_above_limit(self):
         v = Ovm(np.full((17, 1, 1), 1.0 / 17))
         report = verify_dilation(v, build_block_dilation(v), sample_count=50)
