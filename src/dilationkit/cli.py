@@ -167,28 +167,34 @@ def _emit(report: dict) -> int:
     return 0 if report["pass"] else 1
 
 
-def _json_chunks(obj, level: int = 0, memo=None, checked: bool = False):
-    """Text of json.dumps(obj, sort_keys=True, indent=2, allow_nan=False),
-    in chunks, where obj may hold ndarrays in place of their _encode_array
-    and its dict keys are strings.
+class _Partition(tuple):
+    """Block ranks that _json_chunks writes as their DilationTriple's f_atoms."""
 
-    Each array goes through _as_real once; `checked` marks the rows of one
-    that did.  A float64 row is written by float.__repr__, the json
-    module's own float form, and its text is kept by (level, bytes): rows
-    with equal bytes have equal floats, so the diagonal 0/1 blocks of a
-    dilation's F atoms are formatted once per distinct row.
-    """
-    memo = {} if memo is None else memo
+
+def _json_chunks(obj, level: int = 0, checked: bool = False):
+    """Text of json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) in
+    chunks.  obj's dict keys are strings; it may hold ndarrays in place of
+    their _encode_array, each checked by _as_real once (`checked` marks its
+    rows) and written row by row with float.__repr__, the json module's own
+    float form, and a _Partition in place of its f_atoms.tolist(), whose T
+    unit rows and zero row are formatted once."""
     pad, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(obj, _Partition) and obj:
+        total, inner = sum(obj), "," + pad + "  "
+        rows = ["".join(_json_chunks(r, level + 2, True)) for r in np.eye(total + 1, total)]
+        for j, (lo, rank) in enumerate(zip(np.cumsum((0,) + obj).tolist(), obj)):
+            yield ("," if j else "[") + pad + "["
+            for k in range(total):
+                yield inner if k else inner[1:]
+                yield rows[k if lo <= k < lo + rank else -1]
+            yield (pad if total else "") + "]"
+        yield close + "]"
+        return
     if isinstance(obj, np.ndarray):
         if not checked:
             obj = _as_real(obj)
         if obj.dtype == np.float64 and obj.ndim == 1 and obj.size:
-            key = (level, obj.tobytes())
-            if key not in memo:
-                text = ("," + pad).join(map(float.__repr__, obj.tolist()))
-                memo[key] = "[" + pad + text + close + "]"
-            yield memo[key]
+            yield "[" + pad + ("," + pad).join(map(float.__repr__, obj.tolist())) + close + "]"
             return
         if obj.dtype != np.float64 or obj.ndim == 0:
             obj = obj.tolist()
@@ -208,7 +214,7 @@ def _json_chunks(obj, level: int = 0, memo=None, checked: bool = False):
     checked = isinstance(obj, np.ndarray)
     for prefix, item in entries:
         yield sep + prefix
-        yield from _json_chunks(item, level + 1, memo, checked)
+        yield from _json_chunks(item, level + 1, checked)
         sep = "," + pad
     yield close + brackets[1]
 
@@ -331,15 +337,9 @@ def cmd_ovm_dilate(args) -> int:
     report["artifacts"]["block_ranks"] = list(triple.block_ranks)
     report["artifacts"]["total_dim"] = triple.total_dim
     if args.output:
-        _write_json_atomic(
-            args.output,
-            {
-                "left": triple.left,
-                "right": triple.right,
-                "f_atoms": triple.f_atoms,
-                "block_ranks": list(triple.block_ranks),
-            },
-        )
+        ranks = triple.block_ranks
+        _write_json_atomic(args.output, {"left": triple.left, "right": triple.right,
+                                         "f_atoms": _Partition(ranks), "block_ranks": list(ranks)})
         report["artifacts"]["output_path"] = args.output
     return _emit(report)
 

@@ -270,9 +270,13 @@ class DilationTriple:
 
     @property
     def f_atoms(self) -> np.ndarray:
-        """Dense (n, T, T) stack of F({j}), built on each access; the
-        partition `block_ranks` is the stored form of F."""
-        return np.stack([self.f_evaluate(1 << j) for j in range(self.atom_count)])
+        """Dense (n, T, T) stack of F({j}), built on each access for
+        library callers only; the partition `block_ranks` is the stored
+        form of F, and `ovm-dilate --output` writes F's text from it."""
+        out = np.zeros((self.atom_count, self.total_dim, self.total_dim))
+        idx = np.arange(self.total_dim)
+        out[np.repeat(np.arange(self.atom_count), self.block_ranks), idx, idx] = 1.0
+        return out
 
     def evaluate(self, mask: int) -> np.ndarray:
         keep = self._selected(mask)

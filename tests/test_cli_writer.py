@@ -2,8 +2,9 @@
 
 `cli._json_chunks` must produce exactly the text of
 json.dumps(..., sort_keys=True, indent=2, allow_nan=False) on the same
-document with every array replaced by its nested lists, write nothing
-on a non-finite entry, and never hold the triple as Python lists.
+document with every array replaced by its nested lists and every
+partition by its triple's f_atoms, write nothing on a non-finite entry,
+and never hold the triple as Python lists or as a dense F stack.
 """
 
 import json
@@ -11,11 +12,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilationkit.cli import _encode_array, _json_chunks, _write_json_atomic, main
-from dilationkit.dilation import DilationTriple
+from dilationkit import cli
+from dilationkit.cli import (
+    _Partition, _encode_array, _json_chunks, _write_json_atomic, load_ovm, main
+)
+from dilationkit.dilation import DilationTriple, build_block_dilation, naimark_dilate
 
 EDGE_FLOATS = [-0.0, 0.0, 1.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 reals = st.one_of(
@@ -109,15 +113,23 @@ class TestSameText:
         assert _encode_array(arr) == listed(arr.tolist())
         assert written(arr) == expected(arr)
 
-    def test_block_triple_rows_are_formatted_once(self):
-        # 24 blocks of rank 8: 193 distinct rows among the 4608 of f_atoms
-        ranks = (8,) * 24
-        triple = DilationTriple(np.ones((8, 192)), np.ones((192, 8)), ranks)
-        doc = {"f_atoms": triple.f_atoms, "block_ranks": list(ranks)}
-        memo = {}
-        text = "".join(_json_chunks(doc, memo=memo))
-        assert len(memo) == 193
-        assert text == expected(doc)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6), st.integers(0, 3))
+    @example([5], 1)  # a single atom: F = I
+    @example([0, 0, 0], 2)  # T = 0: every atom is []
+    @example([2, 0, 3], 0)
+    def test_partition_is_written_as_f_atoms(self, ranks, depth):
+        total = sum(ranks)
+        triple = DilationTriple(np.zeros((1, total)), np.zeros((total, 1)), ranks)
+        doc, reference = _Partition(ranks), triple.f_atoms.tolist()
+        # the rows are formatted at the level where they sit, so nest
+        # the partition in dicts and lists to shift that level
+        for level in range(depth):
+            if level % 2:
+                doc, reference = [doc], [reference]
+            else:
+                doc, reference = {"f_atoms": doc}, {"f_atoms": reference}
+        assert written(doc) == json.dumps(reference, indent=2)
 
 
 class TestAtomicFailure:
@@ -132,13 +144,16 @@ class TestAtomicFailure:
         assert list(tmp_path.iterdir()) == []
 
     def test_cli_exits_one_without_traceback(self, capsys, tmp_path, monkeypatch):
-        # nothing but the write reads f_atoms, so a nan there reaches only it
-        def nan_atoms(self):
-            atoms = np.zeros((self.atom_count, self.total_dim, self.total_dim))
-            atoms[0, 0, 0] = np.nan
-            return atoms
+        # the nan goes into `left` as the write receives it, so the
+        # dilation and its checks see finite arrays and only the write fails
+        write = cli._write_json_atomic
 
-        monkeypatch.setattr(DilationTriple, "f_atoms", property(nan_atoms))
+        def write_with_nan(path, doc):
+            doc["left"] = doc["left"].copy()
+            doc["left"][0, 0] = np.nan
+            write(path, doc)
+
+        monkeypatch.setattr(cli, "_write_json_atomic", write_with_nan)
         doc = {"dim_in": 1, "dim_out": 1, "atoms": [[[0.5]], [[0.5]]]}
         path = tmp_path / "ovm.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -151,20 +166,51 @@ class TestAtomicFailure:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ovm.json"]
 
 
-def test_block_triple_write_stays_below_sixteen_mib(tmp_path):
-    # 24 atoms of 8 x 8 give T = 192, so f_atoms alone is 7 MiB of float64;
-    # as Python lists and floats it traced about 34 MiB
+def ovm_file(tmp_path, atoms):
+    """Write atoms (reals or [re, im] pairs) as an ovm input file."""
+    atoms = np.asarray(atoms)
+    path = tmp_path / "ovm.json"
+    doc = {"dim_in": atoms.shape[2], "dim_out": atoms.shape[1], "atoms": listed(atoms.tolist())}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path, doc
+
+
+# a rank-one complex projection P = v v* with v = (1, i) / sqrt(2), split in
+# halves, and I - P: a POVM on C^2 whose entries are exact in binary
+P = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+COMPLEX_POVM = [P / 2, P / 2, np.eye(2) - P]
+WITH_ZERO_ATOM = [[[1.0, 2.0], [0.5, -1.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("mode, atoms", [("block", WITH_ZERO_ATOM), ("naimark", COMPLEX_POVM)])
+def test_written_triple_is_the_library_triple(tmp_path, mode, atoms):
+    path, doc = ovm_file(tmp_path, atoms)
+    target = tmp_path / "triple.json"
+    assert main(["ovm-dilate", str(path), "--" + mode, "--output", str(target)]) == 0
+    ovm = load_ovm(doc)
+    triple = naimark_dilate(ovm).as_triple() if mode == "naimark" else build_block_dilation(ovm)
+    assert triple.total_dim > 0
+    assert mode == "naimark" or 0 in triple.block_ranks
+    reference = {
+        "left": listed(triple.left.tolist()),
+        "right": listed(triple.right.tolist()),
+        "f_atoms": triple.f_atoms.tolist(),
+        "block_ranks": list(triple.block_ranks),
+    }
+    expected_text = json.dumps(reference, sort_keys=True, indent=2) + "\n"
+    assert target.read_text(encoding="utf-8") == expected_text
+
+
+def test_block_triple_write_stays_below_four_mib(tmp_path):
+    # 24 atoms of 8 x 8 give T = 192: a dense F stack alone would be 7 MiB
+    # of float64, and the text of F is 11.6 MB, so neither may be held
     rng = np.random.default_rng(0)
     atoms = []
     for _ in range(24):
         u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         atoms.append((u * rng.uniform(0.5, 1.5, 8)) @ v.T)
-    path = tmp_path / "ovm.json"
-    path.write_text(
-        json.dumps({"dim_in": 8, "dim_out": 8, "atoms": np.stack(atoms).tolist()}),
-        encoding="utf-8",
-    )
+    path, _ = ovm_file(tmp_path, atoms)
     target = tmp_path / "triple.json"
     tracemalloc.start()
     try:
@@ -174,4 +220,4 @@ def test_block_triple_write_stays_below_sixteen_mib(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert len(json.loads(target.read_text(encoding="utf-8"))["f_atoms"]) == 24
-    assert peak < 16 << 20
+    assert peak < 4 << 20
