@@ -16,7 +16,6 @@ Input schemas (entries are bare reals or [re, im] pairs):
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -24,6 +23,16 @@ import sys
 import tempfile
 
 import numpy as np
+
+# `import hashlib` loads OpenSSL's libcrypto, several MB of resident memory
+# for one digest per call; CPython's builtin module gives the same SHA-256.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .errors import DilationKitError
 from .frames import (
@@ -133,7 +142,7 @@ def _digest(command: str, doc, flags: dict) -> str:
         separators=(",", ":"),
         allow_nan=False,
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _check(name: str, value: float, threshold: float, passed=None) -> dict:
@@ -378,7 +387,8 @@ def cmd_chl5(args) -> int:
         raise SchemaError("--p must exceed 1 and differ from 2")
     if args.trials < 100:
         raise SchemaError("--trials must be at least 100")
-    flags = {"p": args.p, "nmax": args.nmax, "trials": args.trials, "seed": args.seed}
+    # --trials and --seed have no effect, so they stay out of the digest
+    flags = {"p": args.p, "nmax": args.nmax}
     report = {
         "command": "chl5",
         "inputs_digest": _digest("chl5", None, flags),
@@ -399,7 +409,7 @@ def cmd_chl5(args) -> int:
         # a function of the first n signs, where P_{n+1} acts as P_n
         start = np.repeat(maximizer, 2)
         lowers.append(lower)
-        kh = rademacher.khintchine_report(block, trials=args.trials, seed=args.seed)
+        kh = rademacher.khintchine_report(block)
         prefix = f"n{n}_"
         report["checks"].append(_check(prefix + "sign_orthogonality", ortho, 0.0))
         report["checks"].append(_check(prefix + "projection_idempotent", idem, 1e-10))
@@ -508,8 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     chl.add_argument("--p", type=float, required=True, help="exponent, p > 1 and p != 2")
     chl.add_argument("--nmax", type=int, default=6, help="largest block level, <= 11")
     chl.add_argument("--trials", type=int, default=200,
-                     help="sampled vectors of the Khintchine envelope only, >= 100")
-    chl.add_argument("--seed", type=int, default=0, help="drives the Khintchine envelope only")
+                     help="accepted (>= 100) and has no effect: the sweep draws no sample")
+    chl.add_argument("--seed", type=int, default=0,
+                     help="accepted and has no effect: the sweep draws no sample")
     chl.set_defaults(handler=cmd_chl5)
     return parser
 

@@ -32,7 +32,8 @@ def _as_vector_array(vectors, name="vectors"):
         raise ValueError(f"{name} must contain at least one vector of dimension >= 1")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+    # np.array already made a private copy; astype converts it in place of a second one
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     arr.flags.writeable = False
     return arr
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -15,6 +15,9 @@ from . import _subsets
 from .errors import ZeroPair
 from .frames import Frame, _as_vector_array, frame_bounds, reconstruction_residual
 from .linalg import outer_pair
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,9 @@ def example_e11_weights(m: int) -> tuple[list[Fraction], list[Fraction]]:
     Coordinate k (1-based) receives k copies of weight 1 on the x side and k
     copies of weight (1/k)^2 on the y side, giving sums k and 1/k exactly.
     """
+    # imported here: fractions loads decimal, which no other path needs
+    from fractions import Fraction
+
     ks = range(1, m + 1)
     return [k * Fraction(1) ** 2 for k in ks], [k * Fraction(1, k) ** 2 for k in ks]
 

@@ -22,7 +22,6 @@ import numpy as np
 from .frames import reconstruction_residual
 from .framings import Framing
 from .linalg import lp_norm, spectral_norm
-from .rng import Xorshift
 
 MAX_LEVEL = 14  # keeps eps^T eps integer-exact in float64 well below 2^53
 # Boyd steps per start; at most 93 were taken for seven exponents p from 1.1
@@ -33,8 +32,6 @@ POWER_STEPS = 100
 # P_n on functions of the first n signs); only summation order differs, at
 # most 2.9 eps measured.  Genuine growth between odd levels is 1e-4 or more.
 MONOTONE_RTOL = 64 * np.finfo(np.float64).eps
-# Entries of the products sum_i a_i r_i that khintchine_report forms at once.
-_KHINTCHINE_CHUNK = 1 << 19
 
 
 def sign_matrix(n: int) -> np.ndarray:
@@ -166,6 +163,11 @@ def projection_norm_bounds(block: RademacherBlock, start=None):
     genuine vector.  e_0 stands for all 2^n coordinate vectors:
     eps[i, j] eps[i, k] = eps[i, j xor k], so P e_k is a rearrangement of
     P e_0 and every e_k has the ratio ||P e_0||_p.
+
+    Without `start`, `lower` comes from e_0 alone and can be a local maximum
+    below a plain sign vector's ratio: at p = 6, n = 4 it is
+    1.1702959692436576, while the best sign vector reaches
+    1.1913659566696366.  chl5 passes the previous level's lifted maximizer.
     """
     r = max(block.p, block.q)
     upper = math.sqrt(2.0) * (math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)) ** (1.0 / r)
@@ -188,34 +190,56 @@ def projection_norm_bounds(block: RademacherBlock, start=None):
 
 @dataclass(frozen=True)
 class KhintchineReport:
-    """Empirical envelope of ||sum_i a_i r_i||_p / ||a||_2 over sampled
-    coefficient vectors: lower and upper observed ratios."""
+    """Envelope of ||sum_i a_i r_i||_p / ||a||_2 over the balanced
+    coefficient vectors of `balanced_ratios`: their least and greatest
+    ratio."""
 
     lower: float
     upper: float
-    samples: int
 
 
-def khintchine_report(block: RademacherBlock, trials: int = 200, seed: int = 0) -> KhintchineReport:
-    """Sample the equivalence constants between ||a||_2 and ||sum a_i r_i||_p.
+def balanced_ratios(block: RademacherBlock) -> np.ndarray:
+    """Ratios ||sum_i a_i r_i||_p / ||a||_2 at a = 1_k / sqrt(k), k = 1..n,
+    from exact binomial moments.
 
-    Includes the coordinate vectors (where the ratio is exactly 1 since
-    ||r_i||_p = 1) plus `trials` random normal coefficient vectors.
+    With mu uniform on the 2^n columns, ||sum_i a_i r_i||_p^p =
+    E|sum_i a_i eps_i|^p, and for a = 1_k the sum S_k = sum_{i<k} eps_i equals
+    k - 2j with probability C(k, j) 2^(-k).  So the ratio at k is
+    (E|S_k|^p / k^(p/2))^(1/p), with E|S_k|^p = 2^(-k) sum_j C(k, j) |k - 2j|^p:
+    O(k) scalar terms, no 2^n-sized array and no sampling.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    samples = np.vstack([np.eye(block.n), Xorshift(seed).normals((trials, block.n))])
-    # sum_i a_i r_i for a block of rows at a time, so memory stays flat in trials
-    step = max(1, _KHINTCHINE_CHUNK >> block.n)
-    norms = [
-        lp_norm(samples[lo : lo + step] @ block.r, block.p)
-        for lo in range(0, len(samples), step)
-    ]
-    # Box-Muller never returns a zero vector: its radius sqrt(-2 log u) has u < 1
-    ratios = np.concatenate(norms) / np.linalg.norm(samples, axis=1)
-    return KhintchineReport(
-        lower=float(ratios.min()), upper=float(ratios.max()), samples=len(ratios)
-    )
+    p = block.p
+    ratios = []
+    for k in range(1, block.n + 1):
+        moment = sum(math.comb(k, j) * abs(k - 2 * j) ** p for j in range(k + 1)) / (1 << k)
+        ratios.append((moment / k ** (p / 2.0)) ** (1.0 / p))
+    return np.array(ratios)
+
+
+def khintchine_report(block: RademacherBlock) -> KhintchineReport:
+    """The least and greatest of the balanced ratios, each a genuine ratio
+    ||sum_i a_i r_i||_p / ||a||_2 attained at some a.
+
+    Where a theorem identifies the extreme over all a in R^n, the balanced
+    candidates reach it:
+
+    * p > 2: lower = 1, and p < 2: upper = 1, attained at k = 1 (r_0 is a
+      unit l_p vector).  ||.||_{L_2(mu)} <= ||.||_{L_p(mu)} for p > 2 on a
+      probability space, reversed for p < 2, and ||sum a_i eps_i||_{L_2} =
+      ||a||_2 by orthonormality.
+    * p = 4: upper = (3 - 2/n)^(1/4), attained at k = n.  On the unit sphere
+      E(sum a_i eps_i)^4 = 3 - 2 sum a_i^4, and sum a_i^4 >= 1/n by
+      Cauchy-Schwarz, with equality at equal coefficients.
+    * p <= p_0 ~ 1.847 and n >= 2: lower = A_p = 2^(1/2 - 1/p), attained at
+      k = 2; Haagerup's optimal lower Khintchine constant (U. Haagerup, The
+      best constants in the Khintchine inequality, Studia Math. 70, 1981) is
+      the infimum over every n and every a.
+
+    Elsewhere a side is the extreme balanced ratio, attained at a genuine a:
+    the extreme over all a lies at or beyond it.
+    """
+    ratios = balanced_ratios(block)
+    return KhintchineReport(lower=float(ratios.min()), upper=float(ratios.max()))
 
 
 def assemble_framing(p: float, n_max: int) -> Framing:

@@ -1,14 +1,22 @@
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dilationkit.cli import build_parser, load_frame, load_framing, load_ovm, main
+import dilationkit
+from dilationkit.cli import _digest, build_parser, load_frame, load_framing, load_ovm, main
 from dilationkit.linalg import DEFAULT_REL_TOL
 
 from conftest import full_rank_povm
 
 SQRT3_2 = float(np.sqrt(3.0) / 2.0)
+# the directory holding the dilationkit package under test
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dilationkit.__file__)))
 
 
 def run(capsys, *argv):
@@ -369,11 +377,22 @@ class TestChl5:
         assert run(capsys, "chl5", "--p", "4", "--trials", "99")[0] == 2
 
     def test_checks_do_not_depend_on_the_seed(self, capsys):
-        first = run(capsys, "chl5", "--p", "4", "--nmax", "6", "--seed", "1")
-        second = run(capsys, "chl5", "--p", "4", "--nmax", "6", "--seed", "2")
-        assert first[0] == second[0] == 0
-        assert first[1]["checks"] == second[1]["checks"]
-        assert first[1]["artifacts"]["levels"] != second[1]["artifacts"]["levels"]
+        # the sweep draws no sample: the whole report, digest included, is
+        # the same bytes for every --seed and --trials
+        outputs = []
+        for extra in (["--seed", "1"], ["--seed", "2"], ["--trials", "100"],
+                      ["--trials", "500", "--seed", "2"]):
+            assert main(["chl5", "--p", "4", "--nmax", "6"] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(set(outputs)) == 1
+
+    def test_trials_and_seed_help_says_no_effect(self, capsys):
+        assert main(["chl5", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in ("--trials TRIALS ", "--seed SEED "):
+            # the options list follows the usage line
+            entry = text[text.rindex(flag):]
+            assert "has no effect" in entry[:80], flag
 
     def test_determinism(self, capsys):
         first = run(capsys, "chl5", "--p", "4", "--nmax", "3", "--seed", "7")
@@ -478,6 +497,29 @@ class TestReportShape:
         plain = run(capsys, "frame-analyze", basis)[1]
         dual = run(capsys, "frame-analyze", basis, "--dual")[1]
         assert plain["inputs_digest"] != dual["inputs_digest"]
+
+    def test_digest_is_sha256_of_the_canonical_text(self):
+        doc = {"dim": 2, "vectors": [[1.0, 0.0], [0.0, [0.5, -1.5]]]}
+        flags = {"dual": True, "dilate": False, "tol": 1e-08}
+        canonical = json.dumps({"command": "frame-analyze", "file": doc, "flags": flags},
+                               sort_keys=True, separators=(",", ":"))
+        digest = _digest("frame-analyze", doc, flags)
+        assert digest == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert digest == "63544e4e317464b64d84599931b239b8e63daf1d18188dbc55b7c33383cf1059"
+
+    @pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
+                        and importlib.util.find_spec("_sha256") is None,
+                        reason="no builtin SHA-256 module in this interpreter")
+    def test_import_loads_neither_openssl_nor_decimal(self):
+        # hashlib loads libcrypto and fractions loads decimal; one CLI call
+        # needs neither
+        code = ("import sys, dilationkit.cli; "
+                "print(sorted({'_hashlib', 'decimal'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_digest_ignores_path_location(self, capsys, tmp_path):
         doc = {"dim": 1, "vectors": [[1.0]]}

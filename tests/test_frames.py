@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -76,6 +78,26 @@ class TestFrameBasics:
             Frame(np.ones((0, 2)))
         with pytest.raises(ValueError):
             Frame([[np.inf, 0.0]])
+
+    def test_one_private_copy(self):
+        x = np.random.default_rng(2).normal(size=(2000, 50))
+        tracemalloc.start()
+        try:
+            frame = Frame(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the copy plus the finiteness mask; a second copy would reach 2x
+        assert peak < 1.5 * x.nbytes
+        assert not frame.vectors.flags.writeable
+        kept = x.copy()
+        x[0, 0] = 7.0
+        assert np.array_equal(frame.vectors, kept)
+
+    def test_int_vectors_become_float64(self):
+        frame = Frame(np.arange(6).reshape(3, 2))
+        assert frame.vectors.dtype == np.float64
+        assert np.array_equal(frame.vectors, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
 
 
 class TestCanonicalDual:

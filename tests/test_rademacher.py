@@ -14,6 +14,7 @@ from dilationkit.rademacher import (
     MAX_LEVEL,
     MONOTONE_RTOL,
     assemble_framing,
+    balanced_ratios,
     build_block,
     dual_side_check,
     khintchine_report,
@@ -25,7 +26,6 @@ from dilationkit.rademacher import (
     projection_ratio,
     sign_matrix,
 )
-from dilationkit.rng import Xorshift
 
 P_VALUES = (4.0 / 3.0, 1.5, 4.0, 6.0)
 
@@ -262,6 +262,15 @@ class TestProjectionNormBounds:
                     assert lower > 1.0
                 start, previous = np.repeat(maximizer, 2), lower
 
+    def test_without_start_lower_can_trail_a_sign_vector(self):
+        # e_0 alone reaches a local maximum: valid, but weaker than the best
+        # sign vector, which the docstring states
+        block = build_block(4, 6.0)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=16)))
+        best = max(projection_ratio(block, s) for s in signs)
+        assert projection_norm_bounds(block)[0] == 1.1702959692436576
+        assert best == pytest.approx(1.1913659566696366, abs=0, rel=1e-14)
+
     def test_start_in_the_kernel_is_ignored(self):
         block = build_block(2, 4.0)
         kernel = np.array([1.0, -1.0, -1.0, 1.0])
@@ -270,16 +279,52 @@ class TestProjectionNormBounds:
 
 
 class TestKhintchine:
-    def test_trials_floor(self):
-        with pytest.raises(ValueError):
-            khintchine_report(build_block(2, 4.0), trials=99)
+    def test_candidates_are_genuine_ratios(self):
+        # each balanced ratio from binomial moments is the ratio of a = 1_k/sqrt(k)
+        for p in P_VALUES + (1.2, 1.9, 3.0, 10.0):
+            for n in range(1, 9):
+                block = build_block(n, p)
+                for k, ratio in enumerate(balanced_ratios(block), start=1):
+                    a = np.where(np.arange(n) < k, 1.0 / math.sqrt(k), 0.0)
+                    direct = lp_norm(a @ block.r, p) / np.linalg.norm(a)
+                    assert ratio == pytest.approx(direct, abs=0, rel=1e-14), (p, n, k)
 
-    def test_coordinate_vector_pins_lower(self):
-        for p in P_VALUES:
-            report = khintchine_report(build_block(2, p), trials=100)
-            assert report.lower <= 1.0 + 1e-12
-            assert report.upper >= 1.0 - 1e-12
-            assert report.samples == 102
+    def test_report_is_the_extreme_candidates(self):
+        block = build_block(6, 3.0)
+        report = khintchine_report(block)
+        ratios = balanced_ratios(block)
+        assert (report.lower, report.upper) == (ratios.min(), ratios.max())
+
+    def test_quartic_upper_is_exact(self):
+        # E(sum a_i eps_i)^4 = 3 - 2 sum a_i^4 on the unit sphere, largest at
+        # equal coefficients
+        for n in range(1, 11):
+            report = khintchine_report(build_block(n, 4.0))
+            assert report.upper == (3.0 - 2.0 / n) ** 0.25, n
+            assert report.lower == 1.0, n
+
+    def test_lower_is_haagerup_constant_below_p0(self):
+        for p in (1.1, 1.2, 1.5, 1.8):
+            assert khintchine_report(build_block(1, p)).lower == 1.0
+            for n in range(2, 9):
+                lower = khintchine_report(build_block(n, p)).lower
+                assert lower == pytest.approx(haagerup_a(p), abs=0, rel=1e-15), (p, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_grid_vector_beats_the_exact_sides(self, n):
+        # every sign pattern is a column of eps, so a @ eps covers them all;
+        # the grid holds every nonzero a with entries in {-1, -3/4, ..., 1}
+        grid = np.array(list(itertools.product(np.linspace(-1.0, 1.0, 9), repeat=n)))
+        grid = grid[np.abs(grid).max(axis=1) > 0]
+        norms = np.linalg.norm(grid, axis=1)
+        for p, side in ((4.0, "upper"), (1.2, "lower"), (1.5, "lower")):
+            block = build_block(n, p)
+            report = khintchine_report(block)
+            ratios = lp_norm(grid @ block.r, p) / norms
+            if side == "upper":
+                assert ratios.max() <= report.upper * (1 + 1e-14), (p, n)
+            else:
+                assert ratios.min() >= report.lower * (1 - 1e-14), (p, n)
 
     def test_balanced_quartic_ratio(self):
         block = build_block(2, 4.0)
@@ -301,24 +346,10 @@ class TestKhintchine:
                     assert abs(report.upper - 1.0) <= 1e-12, (p, n)
                     assert report.lower >= haagerup_a(p) * (1 - 1e-12), (p, n)
 
-    @pytest.mark.parametrize("chunk_rows", [None, 7])
-    def test_matches_the_per_vector_loop(self, monkeypatch, chunk_rows):
-        # one product per row chunk sums in another order than one vector at
-        # a time, so the ratios agree to rounding, not bit for bit
-        block = build_block(5, 4.0)
-        if chunk_rows is not None:
-            monkeypatch.setattr(rademacher, "_KHINTCHINE_CHUNK", chunk_rows << block.n)
-        report = khintchine_report(block, trials=150, seed=3)
-        samples = np.vstack([np.eye(block.n), Xorshift(3).normals((150, block.n))])
-        ratios = [lp_norm(a @ block.r, block.p) / np.linalg.norm(a) for a in samples]
-        assert report.samples == len(ratios)
-        assert report.lower == pytest.approx(min(ratios), abs=0, rel=1e-14)
-        assert report.upper == pytest.approx(max(ratios), abs=0, rel=1e-14)
-
     def test_envelope_brackets_exact_ratio(self):
-        # the balanced vector is among the normals' reachable ratios
+        # the balanced vector is one of the candidates
         block = build_block(2, 4.0)
-        report = khintchine_report(block, trials=200)
+        report = khintchine_report(block)
         assert report.lower <= 2.0 ** 0.25 <= report.upper * (1 + 1e-3)
 
 
