@@ -21,6 +21,9 @@ import numpy as np
 
 from .rng import Xorshift
 
+# Above this many atoms a check samples subsets instead of enumerating all 2^n
+# (subset_sup's `sampled`); callers compare the atom count against it.
+_EXHAUSTIVE_ATOM_LIMIT = 16
 _CHUNK = 1 << 13
 _MAX_ELEMENTS = 1 << 28
 # enclosure width that settles a statistic with no threshold; see subset_sup

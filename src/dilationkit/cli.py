@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,25 +35,17 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
+from ._subsets import _EXHAUSTIVE_ATOM_LIMIT
 from .errors import DilationKitError
-from .frames import (
-    Frame,
-    canonical_dual,
-    dilate_parseval_to_onb,
-    frame_bounds,
-    reconstruction_residual,
-)
-from .framings import (
-    Framing,
-    apply_rescale,
-    check_reconstruction,
-    is_dual_frame_pair,
-    rescale_sqrt,
-)
 from .linalg import DEFAULT_REL_TOL, lp_norm, spectral_norm
-from .ovm import Ovm, _EXHAUSTIVE_ATOM_LIMIT, classify
-from .dilation import EVAL_TOL, build_block_dilation, naimark_dilate, verify_dilation
-from . import rademacher
+
+if TYPE_CHECKING:
+    from .frames import Frame
+    from .framings import Framing
+    from .ovm import Ovm
+
+# Each handler imports the constructions it runs, so one call loads only the
+# modules of its own subcommand.
 
 
 class SchemaError(ValueError):
@@ -88,12 +81,20 @@ def _matrix(obj, rows, cols, where):
     return np.stack([_vector(row, cols, f"{where} row {i}") for i, row in enumerate(obj)])
 
 
+def _dimension(doc: dict, key: str) -> int:
+    value = doc[key]
+    # bool is a subclass of int, so `true` would otherwise pass as 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError(f'"{key}" must be a positive integer')
+    return value
+
+
 def load_frame(doc) -> Frame:
+    from .frames import Frame
+
     if not isinstance(doc, dict) or "dim" not in doc or "vectors" not in doc:
         raise SchemaError('frame files need keys "dim" and "vectors"')
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError('"dim" must be a positive integer')
+    dim = _dimension(doc, "dim")
     vectors = doc["vectors"]
     if not isinstance(vectors, list) or not vectors:
         raise SchemaError('"vectors" must be a non-empty list')
@@ -101,13 +102,12 @@ def load_frame(doc) -> Frame:
 
 
 def load_ovm(doc) -> Ovm:
+    from .ovm import Ovm
+
     for key in ("dim_in", "dim_out", "atoms"):
         if not isinstance(doc, dict) or key not in doc:
             raise SchemaError('ovm files need keys "dim_in", "dim_out" and "atoms"')
-    dim_in, dim_out = doc["dim_in"], doc["dim_out"]
-    for d in (dim_in, dim_out):
-        if not isinstance(d, int) or d < 1:
-            raise SchemaError("dimensions must be positive integers")
+    dim_in, dim_out = _dimension(doc, "dim_in"), _dimension(doc, "dim_out")
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError('"atoms" must be a non-empty list of matrices')
@@ -115,11 +115,11 @@ def load_ovm(doc) -> Ovm:
 
 
 def load_framing(doc) -> Framing:
+    from .framings import Framing
+
     if not isinstance(doc, dict) or "dim" not in doc or "pairs" not in doc:
         raise SchemaError('framing files need keys "dim" and "pairs"')
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError('"dim" must be a positive integer')
+    dim = _dimension(doc, "dim")
     pairs = doc["pairs"]
     if not isinstance(pairs, list) or not pairs:
         raise SchemaError('"pairs" must be a non-empty list')
@@ -245,6 +245,13 @@ def _write_json_atomic(path: str, doc) -> None:
 
 
 def cmd_frame_analyze(args) -> int:
+    from .frames import (
+        canonical_dual,
+        dilate_parseval_to_onb,
+        frame_bounds,
+        reconstruction_residual,
+    )
+
     doc = _load_doc(args.path)
     frame = load_frame(doc)
     flags = {"dual": args.dual, "dilate": args.dilate, "tol": args.tol}
@@ -274,6 +281,9 @@ def cmd_frame_analyze(args) -> int:
 
 
 def cmd_ovm_dilate(args) -> int:
+    from .dilation import EVAL_TOL, build_block_dilation, naimark_dilate, verify_dilation
+    from .ovm import classify
+
     doc = _load_doc(args.path)
     ovm = load_ovm(doc)
     flags = {
@@ -354,6 +364,9 @@ def cmd_ovm_dilate(args) -> int:
 
 
 def cmd_framing_rescale(args) -> int:
+    from .frames import reconstruction_residual
+    from .framings import apply_rescale, check_reconstruction, is_dual_frame_pair, rescale_sqrt
+
     doc = _load_doc(args.path)
     framing = load_framing(doc)
     flags = {"tol": args.tol}
@@ -381,6 +394,10 @@ def cmd_framing_rescale(args) -> int:
 
 
 def cmd_chl5(args) -> int:
+    from . import rademacher
+    from .frames import reconstruction_residual
+    from .framings import apply_rescale, check_reconstruction, is_dual_frame_pair, rescale_sqrt
+
     if args.nmax < 1 or args.nmax > 11:
         raise SchemaError("--nmax must be between 1 and 11")
     if not args.p > 1.0 or args.p == 2.0:
@@ -485,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     frame.add_argument(
         "--dilate", action="store_true", help="dilate a Parseval frame to an ONB"
     )
-    frame.add_argument("--tol", type=float, default=1e-8)
+    frame.add_argument("--tol", type=float, default=1e-8, help=(
+        "absolute check threshold: the Parseval flag and --dilate need both frame "
+        "bounds within tol of 1 and ||S - I|| at most tol"))
     frame.set_defaults(handler=cmd_frame_analyze)
 
     ovm = sub.add_parser("ovm-dilate", help="dilate a measure, verify the triple")
@@ -511,7 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     framing = sub.add_parser("framing-rescale", help="norm-balancing rescale plan")
     framing.add_argument("path", help="framing JSON file")
-    framing.add_argument("--tol", type=float, default=1e-8)
+    framing.add_argument("--tol", type=float, default=1e-8, help=(
+        "absolute check threshold on the reconstruction residual "
+        "||sum_i x_i (x) y_i - I||, before and after the rescale"))
     framing.set_defaults(handler=cmd_framing_rescale)
 
     chl = sub.add_parser("chl5", help="sign-matrix framing sweep on l_p blocks")

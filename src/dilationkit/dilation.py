@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _subsets
+from ._subsets import _EXHAUSTIVE_ATOM_LIMIT
 from .errors import ExactModeTooLarge, IndefiniteInput, NotPositive
 from .linalg import (
     DEFAULT_REL_TOL,
@@ -26,7 +27,7 @@ from .linalg import (
     psd_factor,
     spectral_norm,
 )
-from .ovm import Ovm, _EXHAUSTIVE_ATOM_LIMIT
+from .ovm import Ovm
 
 _EXACT_TERM_LIMIT = 24
 # The threshold verify_dilation certifies the eval residual against; a

@@ -89,7 +89,7 @@ class UnconditionalityReport:
     subset_sup is the maximum over subsets B of ||sum_{i in B} x_i (x) y_i||.
     The two are equivalent: subset_sup <= K_u <= 2 subset_sup.  `exact`
     records whether every pattern was covered, by a certified bound or by
-    enumeration, or only a sample.
+    enumeration; it is False only when a supremum was taken over a sample.
     """
 
     K_u: float
@@ -109,9 +109,10 @@ def unconditionality_diagnostics(
     sum_i s_i T_i = T_full - 2 sum_{i in B} T_i for the flip set B.  Both
     suprema go through _subsets.subset_sup with the bound sum_i ||T_i||,
     which holds by the triangle inequality: ||sum_{i in B} T_i|| and
-    ||sum_i s_i T_i|| are both at most sum_i ||T_i||.  Above 20 pairs
-    `exact` is False, and a supremum the bound leaves open is taken over the
-    subsets _subsets.sample_masks draws from `sample_count` and `seed`.
+    ||sum_i s_i T_i|| are both at most sum_i ||T_i||.  Above 20 pairs a
+    supremum the bound leaves open is taken over the subsets
+    _subsets.sample_masks draws from `sample_count` and `seed`, and only
+    then is `exact` False.
     """
     n = framing.count
     atoms = outer_pair(framing.x, framing.y)
@@ -125,8 +126,9 @@ def unconditionality_diagnostics(
         _subsets.Statistic("subset_sup", _subsets.batched_spectral_norms, bound),
         _subsets.Statistic("K_u", flipped, bound),
     ]
-    exact = n <= _EXHAUSTIVE_PATTERN_LIMIT
-    sup = _subsets.subset_sup(atoms, stats, not exact, sample_count, seed)
+    sampled = n > _EXHAUSTIVE_PATTERN_LIMIT
+    sup = _subsets.subset_sup(atoms, stats, sampled, sample_count, seed)
+    exact = all(s.mode != "sampled" for s in sup.values())
     return UnconditionalityReport(sup["K_u"].lower, exact, sup["subset_sup"].lower)
 
 

@@ -9,15 +9,18 @@ and rank-one measures convert back and forth to framings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _subsets
+from ._subsets import _EXHAUSTIVE_ATOM_LIMIT
 from .errors import AtomRankTooHigh
-from .framings import Framing, check_reconstruction
 from .linalg import DEFAULT_REL_TOL, numerical_rank, outer_pair, spectral_norm
 
-_EXHAUSTIVE_ATOM_LIMIT = 16
+if TYPE_CHECKING:
+    # imported where used, so that measures load without the framing modules
+    from .framings import Framing
 
 
 @dataclass(frozen=True)
@@ -233,6 +236,8 @@ def induced_from_framing(framing: Framing, tol: float = 1e-8) -> Ovm:
     The framing must satisfy its reconstruction identity within `tol`, so the
     induced measure of the full set is the identity within the same bound.
     """
+    from .framings import check_reconstruction
+
     residual = check_reconstruction(framing)
     if residual > tol:
         raise ValueError(
@@ -258,6 +263,8 @@ def framing_from_rank_one_ovm(
     AtomRankTooHigh
         If some atom has numerical rank >= 2.
     """
+    from .framings import Framing
+
     if not ovm.is_square:
         raise ValueError("a framing needs dim_out == dim_in")
     total_residual = spectral_norm(

@@ -477,6 +477,35 @@ class TestParsing:
         path = write_doc(tmp_path / "bad.json", doc)
         assert run(capsys, "framing-rescale", str(path))[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["frame-analyze"], {"dim": True, "vectors": [[1.0], [0.0]]}),
+            (["ovm-dilate", "--block"], {"dim_in": True, "dim_out": 1, "atoms": [[[1.0]]]}),
+            (["ovm-dilate", "--block"], {"dim_in": 1, "dim_out": True, "atoms": [[[1.0]]]}),
+            (["framing-rescale"], {"dim": True, "pairs": [{"x": [1.0], "y": [1.0]}]}),
+        ],
+        ids=["frame", "ovm-dim_in", "ovm-dim_out", "framing"],
+    )
+    def test_boolean_dimension_rejected(self, capsys, tmp_path, argv, doc):
+        # JSON true is a Python bool, and bool is a subclass of int
+        path = write_doc(tmp_path / "bool.json", doc)
+        code, report, err = run(capsys, *argv, path)
+        assert code == 2
+        assert report is None
+        assert "must be a positive integer" in err
+
+    @pytest.mark.parametrize("subcommand, meaning", [
+        ("frame-analyze", "absolute check threshold"),
+        ("framing-rescale", "absolute check threshold"),
+        ("ovm-dilate", "relative rank cutoff"),
+    ])
+    def test_tol_help_states_its_meaning(self, capsys, subcommand, meaning):
+        assert main([subcommand, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        # the options list follows the usage line
+        assert text[text.rindex("--tol TOL "):].startswith("--tol TOL " + meaning)
+
     def test_no_subcommand(self, capsys):
         assert run(capsys, )[0] == 2
 
@@ -512,14 +541,40 @@ class TestReportShape:
                         reason="no builtin SHA-256 module in this interpreter")
     def test_import_loads_neither_openssl_nor_decimal(self):
         # hashlib loads libcrypto and fractions loads decimal; one CLI call
-        # needs neither
-        code = ("import sys, dilationkit.cli; "
+        # needs neither, whichever subcommand's modules it loads
+        code = ("import sys, dilationkit.cli; from dilationkit import *; "
                 "print(sorted({'_hashlib', 'decimal'} & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["chl5", "--p", "4", "--nmax", "3"], {"ovm", "dilation"}),
+            (["ovm-dilate", "{povm}", "--naimark"], {"frames", "framings", "rademacher"}),
+            (["frame-analyze", "{mercedes}", "--dual"],
+             {"framings", "ovm", "dilation", "rademacher"}),
+            (["framing-rescale", "{e11}"], {"ovm", "dilation", "rademacher"}),
+        ],
+        ids=["chl5", "ovm-dilate", "frame-analyze", "framing-rescale"],
+    )
+    def test_subcommand_loads_only_its_modules(self, tmp_path, povm, mercedes, argv, absent):
+        paths = {"povm": povm, "mercedes": mercedes,
+                 "e11": write_doc(tmp_path / "e11.json", e11_doc(3))}
+        code = ("import contextlib, io, sys; from dilationkit.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()): rc = main(sys.argv[1:])\n"
+                "print(rc, *sorted(m for m in sys.modules if m.startswith('dilationkit.')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code, *(a.format(**paths) for a in argv)],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        rc, *loaded = out.split()
+        assert rc == "0"
+        assert "dilationkit.cli" in loaded
+        assert not {f"dilationkit.{name}" for name in absent} & set(loaded)
 
     def test_digest_ignores_path_location(self, capsys, tmp_path):
         doc = {"dim": 1, "vectors": [[1.0]]}

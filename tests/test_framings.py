@@ -149,6 +149,15 @@ class TestUnconditionality:
         assert report.K_u == pytest.approx(k_u, rel=1e-12)
         assert report.subset_sup == pytest.approx(subset_sup, rel=1e-12)
 
+    def test_certified_above_limit_is_exact(self):
+        # 24 pairs are above the pattern limit, but the full set meets the
+        # bound sum_i ||T_i|| = 1 for both suprema, so neither is sampled
+        f = Framing(np.ones((24, 1)), np.full((24, 1), 1 / 24))
+        report = unconditionality_diagnostics(f)
+        assert report.exact
+        assert report.K_u == pytest.approx(1.0, abs=1e-12)
+        assert report.subset_sup == pytest.approx(1.0, abs=1e-12)
+
     def test_sampled_above_limit(self, rng):
         f = random_framing(rng, 21, 3)
         report = unconditionality_diagnostics(f, sample_count=200, seed=5)
