@@ -19,8 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import Xorshift
-
 # Above this many atoms a check samples subsets instead of enumerating all 2^n
 # (subset_sup's `sampled`); callers compare the atom count against it.
 _EXHAUSTIVE_ATOM_LIMIT = 16
@@ -129,6 +127,9 @@ def sample_masks(n: int, count: int, seed: int) -> set:
     """The sampled subsets of an n-atom check: all pairs, then `count` draws
     of Xorshift(seed).mask(n).  subset_sup adds the empty set, the
     singletons and the full set."""
+    # imported here: only a sampled check needs the generator
+    from .rng import Xorshift
+
     rng = Xorshift(seed)
     masks = {(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)}
     masks.update(rng.mask(n) for _ in range(count))

@@ -98,6 +98,19 @@ def frame_bounds(frame: Frame) -> FrameBounds:
     return FrameBounds(lower=max(float(vals[-1]), 0.0), upper=max(float(vals[0]), 0.0))
 
 
+def direct_sum_bounds(bounds) -> FrameBounds:
+    """Frame bounds of a direct sum of frames, from the summands' bounds.
+
+    A direct sum acts block by block, so the direct-sum identities hold:
+    an operator A = (+)_n A_n has ||A|| = max_n ||A_n||, and the frame
+    operator of the sum is (+)_n S_n, whose spectrum is the union of the
+    spectra of the S_n, so the sum's bounds are (min_n lower_n,
+    max_n upper_n).
+    """
+    bounds = list(bounds)
+    return FrameBounds(lower=min(b.lower for b in bounds), upper=max(b.upper for b in bounds))
+
+
 def canonical_dual(frame: Frame, rel_tol: float = DEFAULT_REL_TOL) -> Frame:
     """Frame whose vectors are S^{-1} x_n.
 

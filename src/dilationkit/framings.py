@@ -13,7 +13,13 @@ import numpy as np
 
 from . import _subsets
 from .errors import ZeroPair
-from .frames import Frame, _as_vector_array, frame_bounds, reconstruction_residual
+from .frames import (
+    Frame,
+    FrameBounds,
+    _as_vector_array,
+    frame_bounds,
+    reconstruction_residual,
+)
 from .linalg import outer_pair
 
 if TYPE_CHECKING:
@@ -183,15 +189,25 @@ def apply_rescale(framing: Framing, plan: RescalePlan) -> Framing:
     )
 
 
-def is_dual_frame_pair(x_frame: Frame, y_frame: Frame, tol: float = 1e-8) -> bool:
-    """True when both families are frames and sum_i x_i (x) y_i = I within tol."""
-    if x_frame.count != y_frame.count or x_frame.dim != y_frame.dim:
-        raise ValueError("families must have matching vector counts and dimensions")
-    for fam in (x_frame, y_frame):
-        bounds = frame_bounds(fam)
+def dual_pair_verdict(
+    x_bounds: FrameBounds, y_bounds: FrameBounds, residual: float, tol: float = 1e-8
+) -> bool:
+    """The dual-pair rule, from both families' frame bounds and the residual
+    ||sum_i x_i (x) y_i - I||: each family is a frame whose lower bound
+    exceeds 1e-12 times its upper one, and the residual is at most tol."""
+    for bounds in (x_bounds, y_bounds):
         if bounds.upper <= 0.0 or bounds.lower <= 1e-12 * bounds.upper:
             return False
-    return reconstruction_residual(x_frame.vectors, y_frame.vectors) <= tol
+    return residual <= tol
+
+
+def is_dual_frame_pair(x_frame: Frame, y_frame: Frame, tol: float = 1e-8) -> bool:
+    """True when both families are frames and sum_i x_i (x) y_i = I within
+    tol, by dual_pair_verdict."""
+    if x_frame.count != y_frame.count or x_frame.dim != y_frame.dim:
+        raise ValueError("families must have matching vector counts and dimensions")
+    residual = reconstruction_residual(x_frame.vectors, y_frame.vectors)
+    return dual_pair_verdict(frame_bounds(x_frame), frame_bounds(y_frame), residual, tol)
 
 
 def example_e11(m: int) -> Framing:

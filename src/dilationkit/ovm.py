@@ -126,20 +126,27 @@ def classify(
     if ovm.is_square:
         herm = _self_adjoint_defects(atoms)
         negativity = np.maximum(_negativity(atoms), 0.0)
-        pairs = _pair_defects(atoms)
+        norm_bound = min(norm_bound, _norm_bound(total, herm, negativity))
+        # N_ii is the idempotent defect of the singleton {i}.  If one exceeds
+        # tol, max N_ij does too, so the measure is not spectral and the n^2
+        # pair defects are not needed: ||E(B)^2 - E(B)|| <= U^2 + U with U
+        # the ovm_norm bound, as ||E(B)|| <= U.
+        if float(_idempotent_defects(atoms).max()) > tol:
+            idempotent_bound, spectral = norm_bound * norm_bound + norm_bound, False
+        else:
+            pairs = _pair_defects(atoms)
+            idempotent_bound, spectral = float(pairs.sum()), float(pairs.max()) <= tol
         stats = [
             _subsets.Statistic(
                 "self_adjoint_defect", _self_adjoint_defects, float(herm.sum()), tol
             ),
             _subsets.Statistic("negativity", _negativity, float(negativity.sum()), tol),
             _subsets.Statistic(
-                "idempotent_defect", _idempotent_defects, float(pairs.sum()), tol
+                "idempotent_defect", _idempotent_defects, idempotent_bound, tol
             ),
         ]
-        norm_bound = min(norm_bound, _norm_bound(total, herm, negativity))
         eye = np.eye(ovm.dim_out, dtype=atoms.dtype)
         probability = spectral_norm(total - eye) <= tol
-        spectral = float(pairs.max()) <= tol
     stats.append(_subsets.Statistic("ovm_norm", _subsets.batched_spectral_norms, norm_bound))
     sup = _subsets.subset_sup(atoms, stats, sampled, sample_count, seed)
 
@@ -207,7 +214,8 @@ def _idempotent_defects(stack: np.ndarray) -> np.ndarray:
 
     Bound: E(B)^2 - E(B) = sum_{i, j in B} (E_i E_j - delta_ij E_i), so by
     the triangle inequality every subset has defect at most sum_{i, j} N_ij
-    with N from _pair_defects.
+    with N from _pair_defects.  classify uses it only when every singleton
+    passes; otherwise it takes U^2 + U, U a bound on sup_B ||E(B)||.
     """
     return _subsets.batched_spectral_norms(stack @ stack - stack)
 

@@ -6,10 +6,14 @@ orthogonal with squared norm 2^n exactly, in integer arithmetic.  Scaling
 rows by 2^(-n/p) gives unit l_p vectors r_i whose span is complemented in
 l_p by the averaging projection P = eps^T eps / 2^n.  P is applied from eps
 as eps^T (eps x) / 2^n and never formed as a 2^n x 2^n array.  The block
-framing pairs 2^(-n/q)-scaled columns with 2^(-n/p)-scaled columns
-(1/p + 1/q = 1).
+framing (`level_framing`) pairs 2^(-n/q)-scaled columns with
+2^(-n/p)-scaled columns (1/p + 1/q = 1).
 Rescaling by alpha_i = 2^(n (1/q - 1/2)) turns both sides into one Parseval
 frame, the 2^(-n/2)-scaled columns.
+The framing of the direct sum over levels 1 .. n_max is checked block by
+block, from each level's framing, with the direct-sum identities of
+`frames.direct_sum_bounds`; so the largest array a check builds is one
+level's (2^n, n) pair arrays.  `assemble_framing` builds the dense sum.
 """
 
 from __future__ import annotations
@@ -242,14 +246,23 @@ def khintchine_report(block: RademacherBlock) -> KhintchineReport:
     return KhintchineReport(lower=float(ratios.min()), upper=float(ratios.max()))
 
 
-def assemble_framing(p: float, n_max: int) -> Framing:
-    """Framing of the direct sum of the level blocks n = 1 .. n_max.
+def level_framing(block: RademacherBlock) -> Framing:
+    """The level-n block framing on R^n: pair j (j < 2^n) is
+    x_j = 2^(-n/q) eps[:, j] and y_j = 2^(-n/p) eps[:, j]."""
+    n = block.n
+    cols = block.eps.T.astype(np.float64)
+    return Framing((2.0 ** (-n / block.q)) * cols, (2.0 ** (-n / block.p)) * cols)
 
-    Pair (n, i) embeds x = 2^(-n/q) eps[:, i] and y = 2^(-n/p) eps[:, i]
-    into block n of the sum; coordinates of different levels never interact.
-    The dimension is n_max (n_max + 1) / 2 with sum_n 2^n = 2^(n_max + 1) - 2
-    pairs, at most 4094 (n_max <= 11): level n holds pairs 2^n - 2 ..
-    2^(n+1) - 3 on coordinates n(n-1)/2 .. n(n+1)/2 - 1.
+
+def assemble_framing(p: float, n_max: int) -> Framing:
+    """Framing of the direct sum of the level blocks n = 1 .. n_max, as one
+    dense library object built from the `level_framing` blocks.
+
+    Block n of the sum holds the level-n pairs; coordinates of different
+    levels never interact.  The dimension is n_max (n_max + 1) / 2 with
+    sum_n 2^n = 2^(n_max + 1) - 2 pairs, at most 4094 (n_max <= 11): level n
+    holds pairs 2^n - 2 .. 2^(n+1) - 3 on coordinates n(n-1)/2 ..
+    n(n+1)/2 - 1.  chl5 checks the sum level by level and never builds it.
     """
     if not 1 <= n_max <= 11:
         raise ValueError(f"n_max must satisfy 1 <= n_max <= 11, got {n_max}")
@@ -257,9 +270,8 @@ def assemble_framing(p: float, n_max: int) -> Framing:
     xs = np.zeros(((1 << (n_max + 1)) - 2, dim))
     ys = np.zeros_like(xs)
     for n in range(1, n_max + 1):
-        block = build_block(n, p)
-        cols = block.eps.T.astype(np.float64)
+        level = level_framing(build_block(n, p))
         at = np.s_[(1 << n) - 2 : (1 << (n + 1)) - 2, n * (n - 1) // 2 : n * (n + 1) // 2]
-        xs[at] = (2.0 ** (-n / block.q)) * cols
-        ys[at] = (2.0 ** (-n / block.p)) * cols
+        xs[at] = level.x
+        ys[at] = level.y
     return Framing(xs, ys)

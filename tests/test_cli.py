@@ -4,15 +4,25 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dilationkit
+from dilationkit import rademacher
 from dilationkit.cli import _digest, build_parser, load_frame, load_framing, load_ovm, main
+from dilationkit.frames import reconstruction_residual
+from dilationkit.framings import (
+    apply_rescale,
+    check_reconstruction,
+    is_dual_frame_pair,
+    rescale_sqrt,
+)
 from dilationkit.linalg import DEFAULT_REL_TOL
 
-from conftest import full_rank_povm
+from conftest import full_rank_povm, rank_one_parseval_povm
 
 SQRT3_2 = float(np.sqrt(3.0) / 2.0)
 # the directory holding the dilationkit package under test
@@ -307,6 +317,23 @@ class TestOvmDilate:
         assert code == 0
         assert report["artifacts"]["classification"]["is_probability"] is True
 
+    def test_thousand_atom_rank_one_povm_is_fast(self, capsys, tmp_path):
+        # its singletons fail idempotency, so classify skips the 10^6 pair
+        # defects that took 6 s of a 7.9 s run
+        ovm = rank_one_parseval_povm(np.random.default_rng(0), 1000, 4)
+        doc = {
+            "dim_in": 4,
+            "dim_out": 4,
+            "atoms": [[[[v.real, v.imag] for v in row] for row in atom] for atom in ovm.atoms],
+        }
+        path = write_doc(tmp_path / "povm1000.json", doc)
+        start = time.perf_counter()
+        code, report, _ = run(capsys, "ovm-dilate", path, "--naimark")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert report["artifacts"]["classification"]["is_spectral"] is False
+        assert elapsed < 1.5
+
 
 class TestFramingRescale:
     def test_e11_rescales_to_parseval(self, capsys, tmp_path):
@@ -393,6 +420,43 @@ class TestChl5:
             # the options list follows the usage line
             entry = text[text.rindex(flag):]
             assert "has no effect" in entry[:80], flag
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0, 6.0, 10.0])
+    def test_level_checks_match_the_dense_direct_sum(self, capsys, p):
+        # chl5 checks the assembled framing block by block; the dense sum
+        # must give the same verdicts and, up to rounding, the same values
+        for nmax in range(1, 12):
+            code, report, _ = run(capsys, "chl5", "--p", str(p), "--nmax", str(nmax))
+            assert code == 0
+            checks = {c["name"]: c for c in report["checks"]}
+            framing = rademacher.assemble_framing(p, nmax)
+            x_frame, y_frame = apply_rescale(framing, rescale_sqrt(framing)).frames()
+            dense = {
+                "assembled_reconstruction_residual": check_reconstruction(framing),
+                "assembled_rescaled_parseval_residual":
+                    reconstruction_residual(x_frame.vectors, x_frame.vectors),
+            }
+            for name, value in dense.items():
+                assert abs(checks[name]["value"] - value) <= 4094 * np.finfo(float).eps
+                assert checks[name]["pass"] is bool(value <= checks[name]["threshold"])
+            assert checks["assembled_dual_pair_verdict"]["pass"] is is_dual_frame_pair(
+                x_frame, y_frame
+            )
+            assert report["artifacts"]["pair_count"] == framing.count
+            assert report["artifacts"]["dim"] == framing.dim
+
+    def test_level_eleven_stays_below_four_mib(self, capsys):
+        assert main(["chl5", "--p", "4", "--nmax", "1"]) == 0
+        capsys.readouterr()
+        # the dense direct sum's pair arrays and their copies took 13 MiB
+        tracemalloc.start()
+        try:
+            assert main(["chl5", "--p", "4", "--nmax", "11"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 4 << 20
 
     def test_determinism(self, capsys):
         first = run(capsys, "chl5", "--p", "4", "--nmax", "3", "--seed", "7")
@@ -553,10 +617,10 @@ class TestReportShape:
     @pytest.mark.parametrize(
         "argv, absent",
         [
-            (["chl5", "--p", "4", "--nmax", "3"], {"ovm", "dilation"}),
+            (["chl5", "--p", "4", "--nmax", "3"], {"ovm", "dilation", "rng"}),
             (["ovm-dilate", "{povm}", "--naimark"], {"frames", "framings", "rademacher"}),
             (["frame-analyze", "{mercedes}", "--dual"],
-             {"framings", "ovm", "dilation", "rademacher"}),
+             {"framings", "ovm", "dilation", "rademacher", "rng"}),
             (["framing-rescale", "{e11}"], {"ovm", "dilation", "rademacher"}),
         ],
         ids=["chl5", "ovm-dilate", "frame-analyze", "framing-rescale"],

@@ -23,6 +23,8 @@ from dilationkit import (
     rescale_sqrt,
     unconditionality_diagnostics,
 )
+from dilationkit.frames import direct_sum_bounds, reconstruction_residual
+from dilationkit.framings import dual_pair_verdict
 
 from conftest import random_framing, random_matrix
 
@@ -240,6 +242,24 @@ class TestDualPairPredicate:
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
             is_dual_frame_pair(Frame(np.eye(2)), Frame(np.eye(3)))
+
+    def test_direct_sum_verdict_takes_the_global_bounds(self):
+        # each block alone is a dual frame pair, but the sum's x side has
+        # bounds (1e-14, 1) and its y side (1, 1e14): both fail the 1e-12 rule
+        blocks = [(1e-7 * np.eye(2), 1e7 * np.eye(2)), (np.eye(2), np.eye(2))]
+        x_bounds, y_bounds, residual = [], [], 0.0
+        for x, y in blocks:
+            fx, fy = Frame(x), Frame(y)
+            assert is_dual_frame_pair(fx, fy)
+            x_bounds.append(frame_bounds(fx))
+            y_bounds.append(frame_bounds(fy))
+            residual = max(residual, reconstruction_residual(x, y))
+        x_sum, y_sum = direct_sum_bounds(x_bounds), direct_sum_bounds(y_bounds)
+        assert (x_sum.lower, x_sum.upper) == (x_bounds[0].lower, x_bounds[1].upper)
+        assert not dual_pair_verdict(x_sum, y_sum, residual)
+        zero = np.zeros((2, 2))
+        dense = [np.block([[a, zero], [zero, b]]) for a, b in zip(*blocks)]
+        assert not is_dual_frame_pair(Frame(dense[0]), Frame(dense[1]))
 
 
 class TestExampleWeights:

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dilationkit import _subsets
+from dilationkit import _subsets, ovm as ovm_module
 from dilationkit import (
     AtomRankTooHigh,
     Framing,
@@ -19,6 +19,7 @@ from conftest import (
     random_general_ovm,
     random_positive_probability_ovm,
     random_projection_valued_probability_ovm,
+    rank_one_parseval_povm,
 )
 
 
@@ -167,6 +168,37 @@ class TestClassify:
         c = classify(v, sample_count=10, max_exhaustive_atoms=0)
         assert c.sampled
         assert not c.is_positive
+
+
+    def test_failing_singleton_skips_pair_defects(self, monkeypatch):
+        # a rank-one POVM's singletons fail idempotency, which decides both
+        # is_projection_valued and is_spectral without the n^2 pair defects
+        def refuse(atoms):
+            raise AssertionError("pair defects computed")
+
+        monkeypatch.setattr(ovm_module, "_pair_defects", refuse)
+        c = classify(rank_one_parseval_povm(np.random.default_rng(3), 200, 4))
+        assert c.is_probability and c.is_positive
+        assert not c.is_projection_valued and not c.is_spectral
+        idem, norm = c.subset_sup["idempotent_defect"], c.subset_sup["ovm_norm"]
+        assert idem.mode == "certified" and len(idem.witness_atoms) == 1
+        assert idem.upper == pytest.approx(norm.upper ** 2 + norm.upper, rel=1e-15)
+
+    def test_passing_singletons_reach_pair_defects(self, monkeypatch, rng):
+        calls = []
+
+        def counted(atoms):
+            calls.append(atoms.shape[0])
+            return pair_defects(atoms)
+
+        pair_defects = ovm_module._pair_defects
+        monkeypatch.setattr(ovm_module, "_pair_defects", counted)
+        assert classify(random_projection_valued_probability_ovm(rng, 4, 5), tol=1e-8).is_spectral
+        # idempotent atoms whose product is not zero: only a pair decides
+        oblique = Ovm(np.stack([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)]))
+        c = classify(oblique)
+        assert not c.is_spectral and not c.is_projection_valued
+        assert calls == [4, 2]
 
 
 class TestInducedMeasure:
