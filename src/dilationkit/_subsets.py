@@ -1,6 +1,8 @@
 """Internal helpers for subset suprema.
 
-Masks are Python ints; bit j set means atom j is in the subset.  All
+Masks are Python ints; bit j set means atom j is in the subset.  Only
+`mask_bits` and `masked_sums` read those bits, both from one packed-byte
+form of a mask list (`_mask_bytes`).  All
 enumeration is done with the doubling construction S[2^k : 2^(k+1)] =
 S[0 : 2^k] + item[k], so index m of a result array is the sum over the
 subset encoded by m.
@@ -14,6 +16,7 @@ only caller.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,15 +31,27 @@ _MAX_ELEMENTS = 1 << 28
 SETTLE_RTOL = 64 * np.finfo(np.float64).eps
 
 
-def bit_indices(mask: int):
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return out
+def _mask_bytes(masks, n: int) -> np.ndarray:
+    """(len(masks), ceil(n / 8)) uint8 matrix whose row i is masks[i] in
+    little-endian bytes: bit j of a mask is bit j % 8 of byte j // 8."""
+    if len(masks) and (min(masks) < 0 or max(masks) >> n):
+        raise ValueError(f"masks out of range for {n} atoms")
+    width = (n + 7) // 8
+    data = b"".join([operator.index(mask).to_bytes(width, "little") for mask in masks])
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+
+
+def mask_bits(masks, n: int) -> np.ndarray:
+    """(len(masks), n) boolean matrix: entry [i, j] says whether atom j is
+    in the subset masks[i].  Raises ValueError for a negative mask or one
+    with a bit at or above n."""
+    bits = np.unpackbits(_mask_bytes(masks, n), axis=1, count=n, bitorder="little")
+    return bits.view(bool)
+
+
+def bit_indices(mask: int) -> list:
+    """Ascending atom indices of the subset `mask`."""
+    return np.flatnonzero(mask_bits([mask], mask.bit_length())[0]).tolist()
 
 
 def subset_sums(stack: np.ndarray) -> np.ndarray:
@@ -80,46 +95,28 @@ def batched_spectral_norms(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mask_key(mask: int):
-    return tuple(bit_indices(mask))
-
-
 def max_subset_norm(vectors: np.ndarray):
     """Maximum euclidean norm of a subset sum of the given row vectors.
 
-    Returns (value, witness) where witness is the lexicographically smallest
-    maximizing mask, comparing masks as ascending tuples of set bit indices.
+    Returns (value, witness) where witness is the smallest maximizing mask,
+    the rule subset_sup follows: the first argmax within each chunk of
+    consecutive masks, and a strict > across chunks.
     Meet-in-the-middle: low halves are enumerated once, high halves streamed,
     and ||l + h||^2 expands to ||l||^2 + 2 Re<l, h> + ||h||^2.
     """
-    k = vectors.shape[0]
-    if k == 0:
-        return 0.0, 0
-    low_bits = min(k, 16)
+    low_bits = min(vectors.shape[0], 16)
     low = subset_sums(vectors[:low_bits])
     low_sq = np.einsum("ij,ij->i", low, low.conj()).real
-    if k > low_bits:
-        high = subset_sums(vectors[low_bits:])
-    else:
-        high = np.zeros((1,) + vectors.shape[1:], dtype=vectors.dtype)
     best_sq = -1.0
-    best_key = None
     best_mask = 0
-    for hi_idx in range(high.shape[0]):
-        h = high[hi_idx]
+    for hi_idx, h in enumerate(subset_sums(vectors[low_bits:])):
         h_sq = float(np.vdot(h, h).real)
         cross = 2.0 * (low @ h.conj()).real
         vals = low_sq + (cross + h_sq)
-        chunk_max = float(vals.max())
-        if chunk_max < best_sq:
-            continue
-        for lo_idx in np.flatnonzero(vals == chunk_max):
-            mask = int(lo_idx) | (hi_idx << low_bits)
-            key = _mask_key(mask)
-            if chunk_max > best_sq or key < best_key:
-                best_sq = chunk_max
-                best_key = key
-                best_mask = mask
+        lo_idx = int(np.argmax(vals))
+        if vals[lo_idx] > best_sq:
+            best_sq = float(vals[lo_idx])
+            best_mask = lo_idx | (hi_idx << low_bits)
     return float(np.sqrt(max(best_sq, 0.0))), best_mask
 
 
@@ -139,17 +136,12 @@ def sample_masks(n: int, count: int, seed: int) -> set:
 def masked_sums(stack: np.ndarray, masks) -> np.ndarray:
     """Subset sums of `stack` for each mask in `masks`, each accumulated
     from zero in atom index order; Ovm.evaluate is the one-mask case.
-    Atoms no mask selects are skipped; one every mask selects is added unindexed."""
-    n = stack.shape[0]
-    common, union = (1 << n) - 1, 0
-    for mask in masks:
-        common, union = common & mask, union | mask
+    Atom j's column of selected masks is read from the packed mask bytes,
+    so the (masks x atoms) boolean matrix is never built."""
+    packed = _mask_bytes(masks, stack.shape[0])
     out = np.zeros((len(masks),) + stack.shape[1:], dtype=stack.dtype)
-    for j in range(n):
-        if common >> j & 1:
-            out += stack[j]
-        elif union >> j & 1:
-            out[np.array([mask >> j & 1 for mask in masks], dtype=bool)] += stack[j]
+    for j, atom in enumerate(stack):
+        out[np.flatnonzero(packed[:, j >> 3] & 1 << (j & 7))] += atom
     return out
 
 

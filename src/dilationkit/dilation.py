@@ -90,26 +90,20 @@ def _check_rep(ovm: Ovm, rep: Representation):
 
 def _atom_images(ovm: Ovm, rep: Representation):
     """Per-atom vectors v_j = E({j}) applied to the combined coefficient of
-    atom j across all terms; the alpha functional is the largest euclidean
-    norm of a subset sum of these."""
-    n = ovm.atom_count
-    dtype = np.result_type(ovm.atoms.dtype, rep.coeffs.dtype, rep.vectors.dtype)
-    images = np.zeros((n, ovm.dim_out), dtype=dtype)
-    for j in range(n):
-        combined = np.zeros(ovm.dim_in, dtype=dtype)
-        for i in range(rep.term_count):
-            if rep.masks[i] >> j & 1:
-                combined += rep.coeffs[i] * rep.vectors[i]
-        images[j] = ovm.atoms[j] @ combined
-    return images
+    atom j across all terms, sum of coeffs[i] vectors[i] over the terms whose
+    mask holds j; the alpha functional is the largest euclidean norm of a
+    subset sum of these."""
+    bits = _subsets.mask_bits(rep.masks, ovm.atom_count)
+    combined = bits.T @ (rep.coeffs[:, None] * rep.vectors)
+    return (ovm.atoms @ combined[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
 class AlphaNorm:
     """Value of the alpha functional and the subset attaining it.
 
-    `witness` is the lexicographically smallest maximizing mask (masks
-    compared as ascending tuples of atom indices).
+    `witness` is the smallest maximizing mask, so it holds no atom with an
+    exactly zero image.
     """
 
     value: float
@@ -131,16 +125,15 @@ def alpha_norm(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_TERM_LIM
     """
     _check_rep(ovm, rep)
     images = _atom_images(ovm, rep)
-    nonzero = [j for j in range(images.shape[0]) if np.any(images[j] != 0)]
+    nonzero = np.flatnonzero(images.any(axis=1)).tolist()
     if len(nonzero) > exact_limit:
         raise ExactModeTooLarge(
             f"{len(nonzero)} nonzero atoms exceed the exact enumeration ceiling {exact_limit}"
         )
     value, reduced = _subsets.max_subset_norm(images[nonzero])
-    witness = 0
-    for pos, j in enumerate(nonzero):
-        if reduced >> pos & 1:
-            witness |= 1 << j
+    # dropping the zero-image atoms keeps the order of masks, so the
+    # smallest reduced witness maps to the smallest witness
+    witness = sum(1 << nonzero[pos] for pos in _subsets.bit_indices(reduced))
     return AlphaNorm(value=value, witness=witness)
 
 
@@ -260,10 +253,7 @@ class DilationTriple:
 
     def _selected(self, mask: int) -> np.ndarray:
         """Boolean diagonal of F(mask): the coordinates of the atoms in mask."""
-        if not 0 <= mask <= self.full_mask:
-            raise ValueError(f"mask {mask} out of range for {self.atom_count} atoms")
-        bits = [bool(mask >> j & 1) for j in range(self.atom_count)]
-        return np.repeat(bits, self.block_ranks)
+        return np.repeat(_subsets.mask_bits([mask], self.atom_count)[0], self.block_ranks)
 
     def f_evaluate(self, mask: int) -> np.ndarray:
         """Dense F(mask), the 0/1 diagonal matrix of the selected blocks."""
@@ -522,14 +512,12 @@ def minimality_gap(ovm: Ovm, rep: Representation, triple: DilationTriple) -> Min
         images.
     """
     alpha = alpha_norm(ovm, rep).value
-    acc = np.zeros(
-        triple.total_dim,
-        dtype=np.result_type(triple.right.dtype, rep.coeffs.dtype, rep.vectors.dtype),
+    # row i is F(masks[i]) right vectors[i]: the lifted vector restricted to
+    # the blocks of the atoms in masks[i]
+    selected = np.repeat(
+        _subsets.mask_bits(rep.masks, triple.atom_count), triple.block_ranks, axis=1
     )
-    for i in range(rep.term_count):
-        lifted = triple.right @ rep.vectors[i]
-        acc = acc + rep.coeffs[i] * (lifted * triple._selected(rep.masks[i]))
-    triple_norm = float(np.linalg.norm(acc))
+    triple_norm = float(np.linalg.norm(rep.coeffs @ (selected * (rep.vectors @ triple.right.T))))
     # ||left F(B)|| <= ||left|| ||F(B)|| <= ||left||, with equality at
     # B = Omega because F(Omega) = I.
     constant = spectral_norm(triple.left)

@@ -68,8 +68,6 @@ class Ovm:
     def evaluate(self, mask: int) -> np.ndarray:
         """Measure of the subset encoded by `mask`, accumulated in index
         order; the empty set gives the zero operator."""
-        if not 0 <= mask <= self.full_mask:
-            raise ValueError(f"mask {mask} out of range for {self.atom_count} atoms")
         return _subsets.masked_sums(self.atoms, [mask])[0]
 
 

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dilationkit import _subsets
 from dilationkit import (
+    AlphaNorm,
     DilationTriple,
     ExactModeTooLarge,
     NotPositive,
@@ -19,6 +23,7 @@ from dilationkit import (
     spectral_norm,
     verify_dilation,
 )
+from dilationkit.dilation import _atom_images
 
 from conftest import (
     random_general_ovm,
@@ -65,6 +70,32 @@ class TestAlphaNorm:
         result = alpha_norm(signed_line_pair(), rep)
         assert result.value == 1.0
         assert result.witness == 1
+
+    def test_exact_tie_takes_the_smallest_mask(self):
+        # {1} and {0, 2} both reach 2: alpha, max_subset_norm and the engine
+        # all name the smallest maximizing mask
+        v = Ovm(np.array([[[1.0]], [[-2.0]], [[1.0]]]))
+        rep = Representation.from_terms([(1.0, 0b111, [1.0])])
+        assert alpha_norm(v, rep) == AlphaNorm(value=2.0, witness=0b010)
+        assert _subsets.max_subset_norm(v.atoms[:, 0]) == (2.0, 0b010)
+        norm = _subsets.Statistic("norm", _subsets.batched_spectral_norms, 4.0)
+        sup = _subsets.subset_sup(v.atoms, [norm])["norm"]
+        assert (sup.lower, sup.witness_mask) == (2.0, 0b010)
+
+    @pytest.mark.parametrize("term_count", [1, 7, 50])
+    def test_atom_images_match_the_term_loop(self, rng, term_count):
+        for dim_out, dim_in in ((3, 3), (2, 4)):
+            v = random_general_ovm(rng, 9, dim_out, dim_in, complex_field=True)
+            rep = random_representation(rng, v, term_count, complex_field=True)
+            want = np.zeros((v.atom_count, dim_out), dtype=complex)
+            for j in range(v.atom_count):
+                combined = np.zeros(dim_in, dtype=complex)
+                for i in range(rep.term_count):
+                    if rep.masks[i] >> j & 1:
+                        combined += rep.coeffs[i] * rep.vectors[i]
+                want[j] = v.atoms[j] @ combined
+            images = _atom_images(v, rep)
+            assert np.linalg.norm(images - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_witness_skips_zero_images(self):
         v = Ovm(np.array([[[0.0]], [[1.0]]]))
@@ -351,8 +382,8 @@ class TestTriplePartition:
 
 class TestMinimality:
     def test_matches_dense_reference(self, rng):
-        for ovm, triple in triples_with_zero_atoms(rng):
-            rep = random_representation(rng, ovm, 3, complex_field=True)
+        for (ovm, triple), term_count in itertools.product(triples_with_zero_atoms(rng), (3, 50)):
+            rep = random_representation(rng, ovm, term_count, complex_field=True)
             gap = minimality_gap(ovm, rep, triple)
             masks = range(1 << triple.atom_count)
             constant = max(spectral_norm(triple.left @ triple.f_evaluate(m)) for m in masks)

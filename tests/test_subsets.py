@@ -5,6 +5,7 @@ the statistic with plain numpy, one subset at a time.
 """
 
 import math
+import random
 import re
 from pathlib import Path
 
@@ -311,8 +312,49 @@ def test_sample_masks_contain_the_earlier_policies(n, seed):
     assert filled <= masks | genuine
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 1000])
+def test_mask_bits_reads_bit_j_of_each_mask(n):
+    draws = random.Random(n)
+    masks = [0, (1 << n) - 1, *(draws.getrandbits(n) for _ in range(20))]
+    bits = _subsets.mask_bits(masks, n)
+    assert bits.dtype == bool
+    assert bits.tolist() == [[bool(mask >> j & 1) for j in range(n)] for mask in masks]
+    for bad in (-1, 1 << n):
+        with pytest.raises(ValueError):
+            _subsets.mask_bits([0, bad], n)
+
+
+def common_union_masked_sums(stack, masks):
+    """The per-atom loop masked_sums replaced, kept as its bitwise reference."""
+    n = stack.shape[0]
+    common, union = (1 << n) - 1, 0
+    for mask in masks:
+        common, union = common & mask, union | mask
+    out = np.zeros((len(masks),) + stack.shape[1:], dtype=stack.dtype)
+    for j in range(n):
+        if common >> j & 1:
+            out += stack[j]
+        elif union >> j & 1:
+            out[np.array([mask >> j & 1 for mask in masks], dtype=bool)] += stack[j]
+    return out
+
+
+@pytest.mark.parametrize("n, sampled", [(24, True), (200, True), (1000, False)])
+def test_masked_sums_is_bitwise_the_reference_loop(n, sampled):
+    # the sampled sets of block-sampled-write's size and of 200 atoms, and the
+    # genuine subsets of the 1000-atom rank-one Parseval measure
+    genuine = {0, (1 << n) - 1, *(1 << j for j in range(n))}
+    masks = sorted(sample_masks(n, 1000, 1) | genuine if sampled else genuine)
+    stack = rank_one_parseval_povm(np.random.default_rng(0), n, 4).atoms
+    want = common_union_masked_sums(stack, masks)
+    assert _subsets.masked_sums(stack, masks).tobytes() == want.tobytes()
+
+
 def test_only_the_engine_enumerates_or_draws_masks():
-    pattern = re.compile(r"\biter_subset_sum_chunks\(|\.mask\(|\bsample_masks\(")
+    # and only the engine decodes them: `mask >> j & 1`, `& (1 << j)` and the like
+    pattern = re.compile(
+        r"\biter_subset_sum_chunks\(|\.mask\(|\bsample_masks\(|>>\s*\w+\s*&\s*1\b|&\s*\(?1\s*<<"
+    )
     package = Path(dilationkit.__file__).parent
     callers = sorted(
         path.name for path in package.glob("*.py") if pattern.search(path.read_text())
