@@ -25,6 +25,8 @@ import numpy as np
 # Above this many atoms a check samples subsets instead of enumerating all 2^n
 # (subset_sup's `sampled`); callers compare the atom count against it.
 _EXHAUSTIVE_ATOM_LIMIT = 16
+# random subsets a sampled check draws on top of all pairs; see sample_masks
+_SAMPLE_COUNT = 1000
 _CHUNK = 1 << 13
 _MAX_ELEMENTS = 1 << 28
 # enclosure width that settles a statistic with no threshold; see subset_sup
@@ -120,16 +122,16 @@ def max_subset_norm(vectors: np.ndarray):
     return float(np.sqrt(max(best_sq, 0.0))), best_mask
 
 
-def sample_masks(n: int, count: int, seed: int) -> set:
-    """The sampled subsets of an n-atom check: all pairs, then `count` draws
-    of Xorshift(seed).mask(n).  subset_sup adds the empty set, the
+def sample_masks(n: int, seed: int) -> set:
+    """The sampled subsets of an n-atom check: all pairs, then _SAMPLE_COUNT
+    draws of Xorshift(seed).mask(n).  subset_sup adds the empty set, the
     singletons and the full set."""
     # imported here: only a sampled check needs the generator
     from .rng import Xorshift
 
     rng = Xorshift(seed)
     masks = {(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)}
-    masks.update(rng.mask(n) for _ in range(count))
+    masks.update(rng.mask(n) for _ in range(_SAMPLE_COUNT))
     return masks
 
 
@@ -139,9 +141,16 @@ def masked_sums(stack: np.ndarray, masks) -> np.ndarray:
     Atom j's column of selected masks is read from the packed mask bytes,
     so the (masks x atoms) boolean matrix is never built."""
     packed = _mask_bytes(masks, stack.shape[0])
+    # an atom every mask selects is added unindexed, with the same bits
+    common = int.from_bytes(
+        np.bitwise_and.reduce(packed, axis=0, initial=0xFF).tobytes(), "little"
+    )
     out = np.zeros((len(masks),) + stack.shape[1:], dtype=stack.dtype)
     for j, atom in enumerate(stack):
-        out[np.flatnonzero(packed[:, j >> 3] & 1 << (j & 7))] += atom
+        if common >> j & 1:
+            out += atom
+        else:
+            out[np.flatnonzero(packed[:, j >> 3] & 1 << (j & 7))] += atom
     return out
 
 
@@ -198,9 +207,7 @@ def _peak(stat: Statistic, sums: np.ndarray, masks):
     return float(values[k]), masks[k]
 
 
-def subset_sup(
-    stack: np.ndarray, stats, sampled: bool = False, sample_count: int = 1000, seed: int = 0
-) -> dict:
+def subset_sup(stack: np.ndarray, stats, sampled: bool = False, seed: int = 0) -> dict:
     """Supremum over all subsets B of each statistic at sum_{j in B} stack[j].
 
     Every statistic is first evaluated at the genuine subsets the atoms give
@@ -209,8 +216,8 @@ def subset_sup(
     settled there when its threshold lies outside [lower, upper), or, with
     no threshold, when upper - lower <= SETTLE_RTOL * upper.  The statistics
     left open share one pass over subset sums: all 2^n of them in chunks,
-    or, when `sampled`, the subsets of sample_masks(n, sample_count, seed)
-    together with the genuine subsets.  The sample is drawn only when some
+    or, when `sampled`, the subsets of sample_masks(n, seed) together with
+    the genuine subsets.  The sample is drawn only when some
     statistic is left open.
 
     SETTLE_RTOL = 64 eps: no enumerated value is known more closely, being
@@ -241,7 +248,7 @@ def subset_sup(
     if not open_stats:
         return results
     if sampled:
-        masks = sorted(sample_masks(n, sample_count, seed).union(genuine))
+        masks = sorted(sample_masks(n, seed).union(genuine))
         passes = [(masks, masked_sums(stack, masks))]
         examined, mode = len(masks), "sampled"
     else:

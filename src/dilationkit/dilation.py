@@ -307,8 +307,7 @@ def build_block_dilation(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> Dilation
     empty blocks; F of the full set is still the identity.
     """
     factors = []
-    for atom in ovm.atoms:
-        u, s, _ = np.linalg.svd(atom)
+    for atom, u, s in zip(ovm.atoms, *np.linalg.svd(ovm.atoms)[:2]):
         q = fix_column_phases(u[:, : numerical_rank(s, rel_tol)])
         factors.append((q, q.conj().T @ atom))
     return _assemble(factors)
@@ -415,7 +414,6 @@ def verify_dilation(
     ovm: Ovm,
     triple: DilationTriple,
     *,
-    sample_count: int = 1000,
     seed: int = 0,
     max_exhaustive_atoms: int = _EXHAUSTIVE_ATOM_LIMIT,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -430,8 +428,8 @@ def verify_dilation(
     singletons and the full set give genuine values.  Only when EVAL_TOL
     lies between the two are subsets enumerated: exhaustively for measures
     with at most `max_exhaustive_atoms` atoms, above that on the subsets
-    _subsets.sample_masks draws from `sample_count` and `seed`.  The
-    `sampled` flag records that the atom count is above the limit.
+    _subsets.sample_masks draws from `seed`.  The `sampled` flag records
+    that the atom count is above the limit.
     """
     if triple.atom_count != ovm.atom_count:
         raise ValueError("triple and measure have different atom counts")
@@ -445,7 +443,7 @@ def verify_dilation(
         float(_subsets.batched_spectral_norms(deltas).sum()),
         EVAL_TOL,
     )
-    sup = _subsets.subset_sup(deltas, [residual], sampled, sample_count, seed)
+    sup = _subsets.subset_sup(deltas, [residual], sampled, seed)
     result = sup["eval_residual"]
     certified_pass = result.mode == "certified" and result.upper <= EVAL_TOL
     eval_residual = result.upper if certified_pass else result.lower
@@ -454,9 +452,10 @@ def verify_dilation(
         right_min_singular = float(np.linalg.svd(triple.right, compute_uv=False).min())
     else:
         right_min_singular = 0.0
+    atom_singular = np.linalg.svd(ovm.atoms, compute_uv=False)
     pairs = tuple(
-        (f_rank, numerical_rank(np.linalg.svd(atom, compute_uv=False), rel_tol))
-        for f_rank, atom in zip(triple.block_ranks, ovm.atoms)
+        (f_rank, numerical_rank(s, rel_tol))
+        for f_rank, s in zip(triple.block_ranks, atom_singular)
     )
     e_total_residual = None
     prob_idem = None

@@ -17,6 +17,7 @@ from .errors import NotAFrame, NotDualPair, NotParseval, OverlappingSupports
 from .linalg import (
     DEFAULT_REL_TOL,
     eig_hermitian,
+    numerical_rank,
     outer_pair,
     polar_decompose,
     psd_factor,
@@ -121,9 +122,7 @@ def canonical_dual(frame: Frame, rel_tol: float = DEFAULT_REL_TOL) -> Frame:
         at most rel_tol times the largest).
     """
     s = frame_operator(frame)
-    eig = eig_hermitian(s)
-    top = float(eig.eigenvalues[0])
-    if top <= 0.0 or float(eig.eigenvalues[-1]) <= rel_tol * top:
+    if numerical_rank(eig_hermitian(s).eigenvalues, rel_tol) < frame.dim:
         raise NotAFrame("frame operator is numerically singular")
     dual_vectors = np.linalg.solve(s, frame.vectors.T).T
     return Frame(dual_vectors)
@@ -134,16 +133,22 @@ class OnbDilation:
     """Orthonormal dilation of a Parseval frame.
 
     The embedding is an isometry from the original dim-dimensional space
-    into an N-dimensional space carrying the orthonormal basis `onb`;
-    `projection` is the orthogonal projection onto its range.  Compressing
-    basis vectors reproduces the frame: embedding* onb_n = x_n up to the
-    Parseval residual.
+    into C^N, where the standard basis `onb` is the orthonormal dilation:
+    embedding* onb_n = x_n up to the Parseval residual.  `onb` and
+    `projection`, the orthogonal projection onto the embedding's range,
+    are determined by the embedding and built on each access.
     """
 
-    onb: Frame
-    projection: np.ndarray
     embedding: np.ndarray
     parseval_residual: float
+
+    @property
+    def onb(self) -> Frame:
+        return Frame(np.eye(self.embedding.shape[0], dtype=self.embedding.dtype))
+
+    @property
+    def projection(self) -> np.ndarray:
+        return self.embedding @ self.embedding.conj().T
 
 
 def dilate_parseval_to_onb(frame: Frame, tol: float = 1e-8) -> OnbDilation:
@@ -167,9 +172,7 @@ def dilate_parseval_to_onb(frame: Frame, tol: float = 1e-8) -> OnbDilation:
     diag = np.diagonal(r)
     phases = diag / np.abs(diag)
     q = q * phases.conj()[None, :]
-    onb = Frame(np.eye(frame.count, dtype=frame.vectors.dtype))
-    projection = q @ q.conj().T
-    return OnbDilation(onb=onb, projection=projection, embedding=q, parseval_residual=residual)
+    return OnbDilation(embedding=q, parseval_residual=residual)
 
 
 @dataclass(frozen=True)
@@ -178,28 +181,33 @@ class RieszDilation:
 
     `riesz` and `riesz_dual` are biorthogonal bases of the N-dimensional
     superspace, `embedding` is an isometry of the original space into it,
-    and `projection` (the orthogonal projection onto the embedded copy)
-    compresses riesz vectors onto the x frame and dual vectors onto the y
-    frame: embedding* riesz_n = x_n and embedding* riesz_dual_n = y_n.
-    `gram_condition` is the condition number of the Gram matrix that
-    realizes the construction; large values mean a nearly degenerate pair.
+    and `projection` (the orthogonal projection onto the embedded copy,
+    built on each access) compresses riesz vectors onto the x frame and
+    dual vectors onto the y frame: embedding* riesz_n = x_n and
+    embedding* riesz_dual_n = y_n.  `gram_condition` is the condition
+    number of the Gram matrix that realizes the construction; large values
+    mean a nearly degenerate pair.
     """
 
     riesz: Frame
     riesz_dual: Frame
-    projection: np.ndarray
     embedding: np.ndarray
     gram_condition: float
+
+    @property
+    def projection(self) -> np.ndarray:
+        return self.embedding @ self.embedding.conj().T
 
 
 def dilate_dual_pair_to_riesz(x_frame: Frame, y_frame: Frame, tol: float = 1e-8) -> RieszDilation:
     """Dilate a dual frame pair to a Riesz basis and its biorthogonal dual.
 
     The pair must satisfy sum_n x_n y_n* = I within `tol`.  The returned
-    bases are columns of G^{1/2} and G^{-1/2} for a positive definite Gram
-    matrix G solving Y G = X, chosen so that a Parseval frame paired with
-    itself yields G = I and the construction degenerates to the orthonormal
-    dilation.
+    bases are columns of G^{1/2} and G^{-1/2} for the positive definite
+    Gram matrix G = X*X + I - QQ*, where X and Y have the vectors as
+    columns and Q is an orthonormal basis of range Y*.  It solves Y G = X,
+    and a Parseval frame paired with itself yields G = I, so the
+    construction degenerates to the orthonormal dilation.
 
     Raises
     ------
@@ -215,26 +223,16 @@ def dilate_dual_pair_to_riesz(x_frame: Frame, y_frame: Frame, tol: float = 1e-8)
     x = x_frame.vectors.T
     y = y_frame.vectors.T
     dim, count = x.shape
-    dtype = np.result_type(x.dtype, y.dtype)
-    a, sing, bh = np.linalg.svd(y, full_matrices=True)
-    if float(sing[-1]) <= 0.0:
+    q, r = np.linalg.qr(y.conj().T)
+    if count < dim or not np.diagonal(r).all():
         raise NotDualPair("y family does not span")
-    b = bh.conj().T
-    b_range, b_null = b[:, :dim], b[:, dim:]
-    # Solve Y G = X for Hermitian G > 0.  In the right singular basis of Y
-    # the top-left block is forced to D^{-2} and the mixed block to
-    # D^{-1} A* X B_null; the free corner is completed so that the Schur
-    # complement is the identity, keeping G positive definite.
-    mixed = (a.conj().T @ x @ b_null) / sing[:, None]
-    corner = mixed.conj().T @ (sing[:, None] ** 2 * mixed) + np.eye(count - dim, dtype=dtype)
-    gram_basis = np.block(
-        [
-            [np.diag(1.0 / sing**2).astype(dtype), mixed],
-            [mixed.conj().T, corner],
-        ]
-    )
-    gram = b @ gram_basis @ b.conj().T
-    gram = (gram + gram.conj().T) / 2
+    # G = X*X + I - QQ* solves Y G = X, because Y* = QR gives Y QQ* = Y
+    # and Y X* = I.  It is positive definite: v*Gv = ||Xv||^2 +
+    # ||(I - QQ*)v||^2 vanishes only for v = Qw with XQw = 0, and
+    # Q = Y* R^{-1} makes XQw = R^{-1} w, so v = 0.  For a Parseval
+    # self-pair, Y Y* = I makes R unitary, so X*X = Q R R* Q* = QQ* and G = I.
+    gram = x.conj().T @ x - q @ q.conj().T
+    gram[np.diag_indices(count)] += 1.0
     eig = eig_hermitian(gram)
     vals = eig.eigenvalues
     if float(vals[-1]) <= 0.0:
@@ -242,12 +240,10 @@ def dilate_dual_pair_to_riesz(x_frame: Frame, y_frame: Frame, tol: float = 1e-8)
     vecs = eig.eigenvectors
     gram_half = vecs @ (np.sqrt(vals)[:, None] * vecs.conj().T)
     gram_inv_half = vecs @ ((1.0 / np.sqrt(vals))[:, None] * vecs.conj().T)
-    embedding = gram_half @ y.conj().T
     return RieszDilation(
         riesz=Frame(gram_half.T),
         riesz_dual=Frame(gram_inv_half.T),
-        projection=embedding @ embedding.conj().T,
-        embedding=embedding,
+        embedding=gram_half @ y.conj().T,
         gram_condition=float(vals[0] / vals[-1]),
     )
 

@@ -106,9 +106,7 @@ class UnconditionalityReport:
 _EXHAUSTIVE_PATTERN_LIMIT = 20
 
 
-def unconditionality_diagnostics(
-    framing: Framing, sample_count: int = 1000, seed: int = 0
-) -> UnconditionalityReport:
+def unconditionality_diagnostics(framing: Framing, seed: int = 0) -> UnconditionalityReport:
     """Sign-pattern and subset norms of the expansion, exhaustive up to 20 pairs.
 
     Pattern norms reuse the subset sums of T_i = x_i (x) y_i through
@@ -117,8 +115,7 @@ def unconditionality_diagnostics(
     which holds by the triangle inequality: ||sum_{i in B} T_i|| and
     ||sum_i s_i T_i|| are both at most sum_i ||T_i||.  Above 20 pairs a
     supremum the bound leaves open is taken over the subsets
-    _subsets.sample_masks draws from `sample_count` and `seed`, and only
-    then is `exact` False.
+    _subsets.sample_masks draws from `seed`, and only then is `exact` False.
     """
     n = framing.count
     atoms = outer_pair(framing.x, framing.y)
@@ -133,7 +130,7 @@ def unconditionality_diagnostics(
         _subsets.Statistic("K_u", flipped, bound),
     ]
     sampled = n > _EXHAUSTIVE_PATTERN_LIMIT
-    sup = _subsets.subset_sup(atoms, stats, sampled, sample_count, seed)
+    sup = _subsets.subset_sup(atoms, stats, sampled, seed)
     exact = all(s.mode != "sampled" for s in sup.values())
     return UnconditionalityReport(sup["K_u"].lower, exact, sup["subset_sup"].lower)
 

@@ -200,18 +200,16 @@ def psd_factor(a, rel_tol: float = DEFAULT_REL_TOL):
     arr = _require_square(a)
     eig = eig_hermitian(arr)
     vals = eig.eigenvalues
-    if vals.size == 0:
-        return np.zeros((0, 0), dtype=arr.dtype), 0
-    scale = float(np.abs(vals).max())
-    if scale == 0.0:
-        return np.zeros((0, arr.shape[0]), dtype=arr.dtype), 0
-    if float(vals.min()) < -rel_tol * scale:
+    scale = float(np.abs(vals).max(initial=0.0))
+    if vals.size and float(vals[-1]) < -rel_tol * scale:
         raise IndefiniteInput(
-            f"eigenvalue {vals.min():.3e} below -rel_tol * norm = {-rel_tol * scale:.3e}"
+            f"eigenvalue {vals[-1]:.3e} below -rel_tol * norm = {-rel_tol * scale:.3e}"
         )
-    rank = int(np.count_nonzero(vals > rel_tol * scale))
-    top = np.clip(vals[:rank], 0.0, None)
-    v = np.sqrt(top)[:, None] * eig.eigenvectors[:, :rank].conj().T
+    # past that check scale == vals[0], except for rel_tol >= 1, where both
+    # cutoffs keep nothing; so numerical_rank counts the eigenvalues above
+    # rel_tol * ||a||
+    rank = numerical_rank(vals, rel_tol)
+    v = np.sqrt(vals[:rank])[:, None] * eig.eigenvectors[:, :rank].conj().T
     return v, rank
 
 

@@ -103,7 +103,6 @@ def classify(
     ovm: Ovm,
     tol: float = 1e-10,
     *,
-    sample_count: int = 1000,
     seed: int = 0,
     max_exhaustive_atoms: int = _EXHAUSTIVE_ATOM_LIMIT,
 ) -> OvmClassification:
@@ -114,7 +113,7 @@ def classify(
     otherwise enumerated over all 2^n subsets.  Above
     `max_exhaustive_atoms` atoms, as in verify_dilation, `sampled` is set and
     the statistics left open are taken over the subsets that
-    _subsets.sample_masks draws from `sample_count` and `seed` instead.
+    _subsets.sample_masks draws from `seed` instead.
     """
     sampled = ovm.atom_count > max_exhaustive_atoms
     atoms = ovm.atoms
@@ -146,7 +145,7 @@ def classify(
         eye = np.eye(ovm.dim_out, dtype=atoms.dtype)
         probability = spectral_norm(total - eye) <= tol
     stats.append(_subsets.Statistic("ovm_norm", _subsets.batched_spectral_norms, norm_bound))
-    sup = _subsets.subset_sup(atoms, stats, sampled, sample_count, seed)
+    sup = _subsets.subset_sup(atoms, stats, sampled, seed)
 
     def passes(name):
         return name in sup and sup[name].lower <= tol
@@ -280,24 +279,19 @@ def framing_from_rank_one_ovm(
         raise ValueError(
             f"measure of the full set deviates from identity by {total_residual:.3e}"
         )
-    tops = []
-    factors = []
-    for i in range(ovm.atom_count):
-        u, s, vh = np.linalg.svd(ovm.atoms[i])
-        tops.append(float(s[0]) if s.size else 0.0)
-        factors.append((u, s, vh))
-    scale = max(tops) if tops else 0.0
+    u, s, vh = np.linalg.svd(ovm.atoms)
+    scale = float(s[:, 0].max())
     xs = np.zeros((ovm.atom_count, ovm.dim_in), dtype=ovm.atoms.dtype)
     ys = np.zeros_like(xs)
-    for i, (u, s, vh) in enumerate(factors):
-        if tops[i] <= rel_tol * scale:
+    for i in range(ovm.atom_count):
+        if s[i, 0] <= rel_tol * scale:
             continue
-        if numerical_rank(s, rel_tol) > 1:
+        if numerical_rank(s[i], rel_tol) > 1:
             raise AtomRankTooHigh(i)
-        root = np.sqrt(s[0])
-        lead = u[:, 0]
+        root = np.sqrt(s[i, 0])
+        lead = u[i, :, 0]
         k = int(np.argmax(np.abs(lead)))
         phase = np.conj(lead[k]) / np.abs(lead[k])
         xs[i] = root * phase * lead
-        ys[i] = root * phase * vh[0].conj()
+        ys[i] = root * phase * vh[i, 0].conj()
     return Framing(xs, ys)

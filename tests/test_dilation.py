@@ -282,7 +282,7 @@ class TestVerify:
 
     def test_sampled_above_limit(self):
         v = Ovm(np.full((17, 1, 1), 1.0 / 17))
-        report = verify_dilation(v, build_block_dilation(v), sample_count=50)
+        report = verify_dilation(v, build_block_dilation(v))
         assert report.sampled
         assert report.eval_residual <= 1e-12
 

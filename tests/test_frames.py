@@ -36,13 +36,27 @@ def parseval_frame(rng, count, dim, complex_field=False):
     return Frame((inv_root @ x.T).T)
 
 
-def dual_pair(rng, count, dim, complex_field=False):
+def dual_pair(rng, count, dim, complex_field=False, canonical=True):
+    """x and its canonical dual S^{-1} x, or that dual plus rows w_n with
+    sum_n x_n w_n* = 0, which is again a dual of x."""
     x = rng.normal(size=(count, dim))
     if complex_field:
         x = x + 1j * rng.normal(size=(count, dim))
     s = x.T @ x.conj()
     y = np.linalg.solve(s, x.T).T
+    if not canonical:
+        # w's columns are orthogonal to x's in C^count, so x^T conj(w) = 0
+        z = rng.normal(size=(count, dim))
+        if complex_field:
+            z = z + 1j * rng.normal(size=(count, dim))
+        q, _ = np.linalg.qr(x)
+        y = y + z - q @ (q.conj().T @ z)
     return Frame(x), Frame(y)
+
+
+# (complex_field, canonical): real and complex pairs, each with the canonical
+# dual and with a non-canonical one
+DUAL_PAIR_KINDS = [(c, k) for c in (False, True) for k in (True, False)]
 
 
 class TestFrameBasics:
@@ -148,6 +162,21 @@ class TestOnbDilation:
             assert spectral_norm(p - p.conj().T) <= 1e-10
             npt.assert_allclose(d.embedding @ d.embedding.conj().T, p, atol=1e-12)
 
+    def test_large_frame_stores_no_n_by_n_array(self):
+        # a Parseval frame of 3000 vectors in R^2; one 3000 x 3000 float64
+        # array would be 72 MB
+        count = 3000
+        angles = 2.0 * np.pi * np.arange(count) / count
+        f = Frame(np.sqrt(2.0 / count) * np.column_stack([np.cos(angles), np.sin(angles)]))
+        tracemalloc.start()
+        try:
+            d = dilate_parseval_to_onb(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert d.embedding.shape == (count, 2)
+
     def test_onb_is_standard_basis(self, rng):
         f = parseval_frame(rng, 5, 2)
         d = dilate_parseval_to_onb(f)
@@ -169,15 +198,15 @@ class TestRieszDilation:
             dilate_dual_pair_to_riesz(f, f)
 
     def test_biorthogonality(self, rng):
-        for complex_field in (False, True):
-            x, y = dual_pair(rng, 6, 3, complex_field)
+        for kind in DUAL_PAIR_KINDS:
+            x, y = dual_pair(rng, 6, 3, *kind)
             d = dilate_dual_pair_to_riesz(x, y)
             gram = d.riesz_dual.vectors.conj() @ d.riesz.vectors.T
             assert np.abs(gram - np.eye(6)).max() <= 1e-9
 
     def test_compressions_recover_pair(self, rng):
-        for complex_field in (False, True):
-            x, y = dual_pair(rng, 6, 3, complex_field)
+        for kind in DUAL_PAIR_KINDS:
+            x, y = dual_pair(rng, 6, 3, *kind)
             d = dilate_dual_pair_to_riesz(x, y)
             got_x = d.embedding.conj().T @ d.riesz.vectors.T
             got_y = d.embedding.conj().T @ d.riesz_dual.vectors.T
@@ -185,12 +214,31 @@ class TestRieszDilation:
             assert np.abs(got_y - y.vectors.T).max() <= 1e-9
 
     def test_projection_is_orthogonal(self, rng):
-        x, y = dual_pair(rng, 5, 2)
-        d = dilate_dual_pair_to_riesz(x, y)
-        p = d.projection
-        assert spectral_norm(p @ p - p) <= 1e-9
-        assert spectral_norm(p - p.conj().T) <= 1e-9
-        assert spectral_norm(d.embedding.conj().T @ d.embedding - np.eye(2)) <= 1e-9
+        for kind in DUAL_PAIR_KINDS:
+            x, y = dual_pair(rng, 5, 2, *kind)
+            d = dilate_dual_pair_to_riesz(x, y)
+            p = d.projection
+            assert spectral_norm(p @ p - p) <= 1e-9
+            assert spectral_norm(p - p.conj().T) <= 1e-9
+            assert spectral_norm(d.embedding.conj().T @ d.embedding - np.eye(2)) <= 1e-9
+
+    def test_gram_matrix_solves_y_g_equals_x(self, rng):
+        for kind in DUAL_PAIR_KINDS:
+            x, y = dual_pair(rng, 7, 3, *kind)
+            canonical = np.linalg.solve(frame_operator(x), x.vectors.T).T
+            assert (np.abs(y.vectors - canonical).max() > 0.1) == (not kind[1])
+            d = dilate_dual_pair_to_riesz(x, y)
+            # riesz_n is column n of G^{1/2}, so G = G^{1/2} G^{1/2}
+            half = d.riesz.vectors.T
+            gram = half @ half
+            assert np.abs(y.vectors.T @ gram - x.vectors.T).max() <= 1e-9
+            assert np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() > 0.0
+
+    def test_zero_y_does_not_span(self, rng):
+        # ||0 - I|| = 1 passes tol = 2, so only the span check can reject it
+        x = Frame(rng.normal(size=(4, 2)))
+        with pytest.raises(NotDualPair, match="y family does not span"):
+            dilate_dual_pair_to_riesz(x, Frame(np.zeros((4, 2))), tol=2.0)
 
     def test_parseval_self_pair_degenerates_to_onb(self, rng):
         f = parseval_frame(rng, 5, 2)

@@ -162,8 +162,8 @@ class TestUnconditionality:
 
     def test_sampled_above_limit(self, rng):
         f = random_framing(rng, 21, 3)
-        report = unconditionality_diagnostics(f, sample_count=200, seed=5)
-        again = unconditionality_diagnostics(f, sample_count=200, seed=5)
+        report = unconditionality_diagnostics(f, seed=5)
+        again = unconditionality_diagnostics(f, seed=5)
         assert not report.exact
         assert report.K_u == again.K_u
         assert report.subset_sup == again.subset_sup

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilationkit import (
+    Frame,
     IndefiniteInput,
+    NotAFrame,
+    canonical_dual,
     eig_hermitian,
     lp_norm,
     outer_pair,
@@ -15,6 +18,7 @@ from dilationkit import (
     psd_factor,
     spectral_norm,
 )
+from dilationkit.linalg import numerical_rank
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -204,6 +208,32 @@ class TestPsdFactor:
             assert rank == r
             assert v.shape[0] == rank
             assert spectral_norm(v.conj().T @ v - a) <= 1e-10 * spectral_norm(a)
+
+
+@pytest.mark.parametrize(
+    "spectrum, rank",
+    [
+        ([0.0, 0.0], 0),
+        ([1.0, -1e-17], 1),  # rounding-negative: accepted and not counted
+        ([1.0, -0.25], 1),  # exactly at the negative cutoff: accepted
+        ([1.0, 0.25], 1),  # exactly at the cutoff: not counted
+        ([1.0, 0.5], 2),
+    ],
+)
+def test_edge_spectra_share_one_rank_rule(spectrum, rank):
+    # psd_factor and canonical_dual both decide through numerical_rank
+    rel_tol = 0.25
+    v, got = psd_factor(np.diag(spectrum), rel_tol)
+    assert got == rank == numerical_rank(np.sort(spectrum)[::-1], rel_tol)
+    assert v.shape == (rank, 2)
+    if min(spectrum) >= 0.0:
+        # the frame operator of these two vectors is diag(spectrum)
+        frame = Frame(np.diag(np.sqrt(spectrum)))
+        if rank < 2:
+            with pytest.raises(NotAFrame):
+                canonical_dual(frame, rel_tol)
+        else:
+            canonical_dual(frame, rel_tol)
 
 
 class TestOuterPair:

@@ -152,7 +152,7 @@ class TestClassify:
         # above the limit classify samples, as verify_dilation does
         atoms = np.full((17, 1, 1), 1.0 / 17)
         v = Ovm(atoms)
-        c = classify(v, sample_count=50)
+        c = classify(v)
         assert c.sampled
         assert c.is_probability
         assert not classify(v, max_exhaustive_atoms=17).sampled
@@ -165,7 +165,7 @@ class TestClassify:
 
     def test_sampled_catches_singleton_violation(self):
         v = Ovm(np.stack([np.diag([-1.0, 0.0])] + [np.diag([0.5, 0.25])] * 4))
-        c = classify(v, sample_count=10, max_exhaustive_atoms=0)
+        c = classify(v, max_exhaustive_atoms=0)
         assert c.sampled
         assert not c.is_positive
 

@@ -153,7 +153,9 @@ class TestClassifyAgainstBruteForce:
         # sampling keeps the atom-level bound of ovm_norm, so each upper here
         # is the proved bound rather than an enumerated maximum.
         ovm = random_measure(*params)
-        cls = classify(ovm, tol=math.inf, sample_count=0, max_exhaustive_atoms=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_subsets, "_SAMPLE_COUNT", 0)
+            cls = classify(ovm, tol=math.inf, max_exhaustive_atoms=0)
         for name, reference in reference_maxima(ovm).items():
             sup = cls.subset_sup[name]
             assert sup.mode in ("certified", "sampled")
@@ -204,13 +206,14 @@ class TestEngine:
         assert sup.witness_mask == 0b101
         assert sup.witness_atoms == [0, 2]
 
-    def test_sampled_statistic_keeps_the_bound(self):
+    def test_sampled_statistic_keeps_the_bound(self, monkeypatch):
         # the genuine subsets and the pairs reach 2 and the bound is 4, so a
         # threshold of 2.5 is open; with no draws the maximum 3 at {0, 2, 3}
         # is missed
         stack = np.array([[[1.0]], [[-1.0]], [[1.0]], [[1.0]]])
         stat = Statistic("norm", batched_spectral_norms, 4.0, 2.5)
-        sup = subset_sup(stack, [stat], sampled=True, sample_count=0)["norm"]
+        monkeypatch.setattr(_subsets, "_SAMPLE_COUNT", 0)
+        sup = subset_sup(stack, [stat], sampled=True)["norm"]
         assert sup.mode == "sampled"
         assert sup.subsets_examined == 12
         assert sup.lower == 2.0
@@ -297,8 +300,8 @@ def test_sample_masks_contain_the_earlier_policies(n, seed):
     # verify_dilation drew `count` masks; unconditionality_diagnostics drew
     # until the empty set, the singletons, the full set and its draws made
     # `count` masks.  subset_sup adds those genuine subsets itself.
-    count = 200
-    masks = sample_masks(n, count, seed)
+    count = _subsets._SAMPLE_COUNT
+    masks = sample_masks(n, seed)
     genuine = {0, (1 << n) - 1, *(1 << j for j in range(n))}
     assert {(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)} <= masks
     rng = Xorshift(seed)
@@ -344,10 +347,14 @@ def test_masked_sums_is_bitwise_the_reference_loop(n, sampled):
     # the sampled sets of block-sampled-write's size and of 200 atoms, and the
     # genuine subsets of the 1000-atom rank-one Parseval measure
     genuine = {0, (1 << n) - 1, *(1 << j for j in range(n))}
-    masks = sorted(sample_masks(n, 1000, 1) | genuine if sampled else genuine)
+    masks = sorted(sample_masks(n, 1) | genuine if sampled else genuine)
     stack = rank_one_parseval_povm(np.random.default_rng(0), n, 4).atoms
     want = common_union_masked_sums(stack, masks)
     assert _subsets.masked_sums(stack, masks).tobytes() == want.tobytes()
+    # the one full mask of Ovm.evaluate(full_mask): every atom is common
+    full = [(1 << n) - 1]
+    want = common_union_masked_sums(stack, full)
+    assert _subsets.masked_sums(stack, full).tobytes() == want.tobytes()
 
 
 def test_only_the_engine_enumerates_or_draws_masks():
