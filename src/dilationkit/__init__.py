@@ -65,10 +65,12 @@ _EXPORTS = {
         "induced_from_framing",
     ),
     "dilation": (
-        "AlphaBounds", "AlphaNorm", "DilationReport", "DilationTriple", "MinimalityGap",
-        "NaimarkDilation", "Representation", "alpha_norm", "alpha_norm_bounds",
-        "build_block_dilation", "minimality_gap", "naimark_dilate", "omega_upper_bound",
-        "verify_dilation",
+        "DilationReport", "DilationTriple", "NaimarkDilation", "build_block_dilation",
+        "naimark_dilate", "verify_dilation",
+    ),
+    "alpha": (
+        "AlphaBounds", "AlphaNorm", "MinimalityGap", "Representation", "alpha_norm",
+        "alpha_norm_bounds", "minimality_gap", "omega_upper_bound",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

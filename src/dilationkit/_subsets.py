@@ -1,11 +1,12 @@
 """Internal helpers for subset suprema.
 
 Masks are Python ints; bit j set means atom j is in the subset.  Only
-`mask_bits` and `masked_sums` read those bits, both from one packed-byte
-form of a mask list (`_mask_bytes`).  All
+`mask_bits` reads those bits, from one packed-byte form of a mask list
+(`_mask_bytes`).  All
 enumeration is done with the doubling construction S[2^k : 2^(k+1)] =
 S[0 : 2^k] + item[k], so index m of a result array is the sum over the
-subset encoded by m.
+subset encoded by m.  A pass over subset sums holds one chunk of
+`_chunk_rows` sums at a time, whatever the atom count or sample size.
 
 `subset_sup` is the one engine behind every "for every subset B" check on
 a measure: it certifies a supremum from atom-level bounds first, and
@@ -27,7 +28,10 @@ import numpy as np
 _EXHAUSTIVE_ATOM_LIMIT = 16
 # random subsets a sampled check draws on top of all pairs; see sample_masks
 _SAMPLE_COUNT = 1000
-_CHUNK = 1 << 13
+# bytes of subset sums one chunk of a pass holds; see _chunk_rows
+_CHUNK_BYTES = 1 << 16
+# atoms of the low half of an exhaustive pass; the split fixes every sum's rounding
+_LOW_BITS = 14
 _MAX_ELEMENTS = 1 << 28
 # enclosure width that settles a statistic with no threshold; see subset_sup
 SETTLE_RTOL = 64 * np.finfo(np.float64).eps
@@ -70,18 +74,37 @@ def subset_sums(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def iter_subset_sum_chunks(stack: np.ndarray, chunk_bits: int = 14):
-    """Yield (base_mask, sums) pairs covering all 2^k subset sums in chunks.
+def _chunk_rows(stack: np.ndarray) -> int:
+    """Sums per chunk: the largest power of two of stack's items that fits
+    in _CHUNK_BYTES, and at least one."""
+    item = stack.itemsize * int(np.prod(stack.shape[1:], dtype=np.int64))
+    return 1 << max(0, (_CHUNK_BYTES // max(item, 1)).bit_length() - 1)
 
-    Chunk c covers masks base_mask + j for j < 2^chunk_bits, with sums[j]
-    the subset sum for mask base_mask + j.
+
+def iter_subset_sum_chunks(stack: np.ndarray):
+    """Yield (base_mask, sums) pairs covering all 2^k subset sums in
+    ascending chunks of _chunk_rows(stack) masks, with sums[j] the subset
+    sum for mask base_mask + j.
+
+    Every sum is bitwise that of low[m % 2^14] + high[m >> 14], the two
+    doubling tables of atoms below and from bit 14 (no high add when
+    m >> 14 is 0).  A chunk starts from a copy of the doubling table of
+    atoms 0..b-1, its 2^b rows, and adds the atoms of the remaining low
+    bits of base_mask in index order, then high: the additions the
+    doubling makes, in its order.
     """
     k = stack.shape[0]
-    low_bits = min(k, chunk_bits)
-    low = subset_sums(stack[:low_bits])
+    low_bits = min(k, _LOW_BITS)
+    bits = min(low_bits, _chunk_rows(stack).bit_length() - 1)
+    table = subset_sums(stack[:bits])
     high = subset_sums(stack[low_bits:])
-    for hi in range(high.shape[0]):
-        yield hi << low_bits, (low + high[hi]) if hi else low.copy()
+    for base in range(0, 1 << k, 1 << bits):
+        chunk = table.copy()
+        for j in bit_indices(base & ((1 << low_bits) - 1)):
+            chunk += stack[j]
+        if base >> low_bits:
+            chunk += high[base >> low_bits]
+        yield base, chunk
 
 
 def batched_spectral_norms(stack: np.ndarray) -> np.ndarray:
@@ -90,11 +113,7 @@ def batched_spectral_norms(stack: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     if stack.shape[1] == 0 or stack.shape[2] == 0:
         return np.zeros(stack.shape[0])
-    out = np.empty(stack.shape[0])
-    for lo in range(0, stack.shape[0], _CHUNK):
-        chunk = stack[lo : lo + _CHUNK]
-        out[lo : lo + len(chunk)] = np.linalg.svd(chunk, compute_uv=False)[:, 0]
-    return out
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def max_subset_norm(vectors: np.ndarray):
@@ -138,19 +157,38 @@ def sample_masks(n: int, seed: int) -> set:
 def masked_sums(stack: np.ndarray, masks) -> np.ndarray:
     """Subset sums of `stack` for each mask in `masks`, each accumulated
     from zero in atom index order; Ovm.evaluate is the one-mask case.
-    Atom j's column of selected masks is read from the packed mask bytes,
-    so the (masks x atoms) boolean matrix is never built."""
-    packed = _mask_bytes(masks, stack.shape[0])
-    # an atom every mask selects is added unindexed, with the same bits
-    common = int.from_bytes(
-        np.bitwise_and.reduce(packed, axis=0, initial=0xFF).tobytes(), "little"
-    )
-    out = np.zeros((len(masks),) + stack.shape[1:], dtype=stack.dtype)
-    for j, atom in enumerate(stack):
-        if common >> j & 1:
-            out += atom
-        else:
-            out[np.flatnonzero(packed[:, j >> 3] & 1 << (j & 7))] += atom
+
+    Step t adds each mask's t-th atom to its row, so a mask list costs as
+    many steps as its largest subset, not one per atom.  A row whose
+    subset has fewer atoms is left alone by the masked add, and one mask
+    is added atom by atom, unindexed, with the same bits."""
+    bits = mask_bits(masks, stack.shape[0])
+    out = np.zeros((len(bits),) + stack.shape[1:], dtype=stack.dtype)
+    if len(bits) == 1:
+        for j in np.flatnonzero(bits[0]):
+            out[0] += stack[j]
+        return out
+    counts = bits.sum(axis=1)
+    rows, atoms = np.nonzero(bits)
+    # steps[t, i] is the t-th atom of mask i, and 0 past its last
+    steps = np.zeros((int(counts.max(initial=0)), len(bits)), dtype=np.intp)
+    steps[np.arange(len(atoms)) - (np.cumsum(counts) - counts)[rows], rows] = atoms
+    for t, picks in enumerate(steps):
+        np.add(out, stack[picks], out=out, where=(counts > t)[:, None, None])
+    return out
+
+
+def _genuine_sums(stack: np.ndarray) -> np.ndarray:
+    """masked_sums over the genuine subsets in ascending mask order: the
+    empty set, the singletons, then the full set when it is not one of
+    them.  Each row starts from zero, so a -0.0 entry becomes +0.0, and the
+    full set adds the atoms in index order."""
+    n = stack.shape[0]
+    out = np.zeros((n + 1 + (n > 1),) + stack.shape[1:], dtype=stack.dtype)
+    out[1 : n + 1] += stack
+    if n > 1:
+        for atom in stack:
+            out[-1] += atom
     return out
 
 
@@ -215,10 +253,11 @@ def subset_sup(stack: np.ndarray, stats, sampled: bool = False, seed: int = 0) -
     gives `lower`, and the statistic's bound gives `upper`.  A statistic is
     settled there when its threshold lies outside [lower, upper), or, with
     no threshold, when upper - lower <= SETTLE_RTOL * upper.  The statistics
-    left open share one pass over subset sums: all 2^n of them in chunks,
-    or, when `sampled`, the subsets of sample_masks(n, seed) together with
-    the genuine subsets.  The sample is drawn only when some
-    statistic is left open.
+    left open share one pass over subset sums: all 2^n of them, or, when
+    `sampled`, the subsets of sample_masks(n, seed) together with the
+    genuine subsets, in ascending mask order and one chunk of _chunk_rows
+    sums at a time.  The sample is drawn only when some statistic is left
+    open.
 
     SETTLE_RTOL = 64 eps: no enumerated value is known more closely, being
     a LAPACK norm of a sum with up to n roundings.  On a 16-atom rank-one
@@ -230,7 +269,7 @@ def subset_sup(stack: np.ndarray, stats, sampled: bool = False, seed: int = 0) -
     """
     n = stack.shape[0]
     genuine = sorted({0, (1 << n) - 1, *(1 << j for j in range(n))})
-    sums = masked_sums(stack, genuine)
+    sums = _genuine_sums(stack)
     results = {}
     open_stats = []
     for stat in stats:
@@ -249,7 +288,11 @@ def subset_sup(stack: np.ndarray, stats, sampled: bool = False, seed: int = 0) -
         return results
     if sampled:
         masks = sorted(sample_masks(n, seed).union(genuine))
-        passes = [(masks, masked_sums(stack, masks))]
+        rows = _chunk_rows(stack)
+        passes = (
+            (masks[lo : lo + rows], masked_sums(stack, masks[lo : lo + rows]))
+            for lo in range(0, len(masks), rows)
+        )
         examined, mode = len(masks), "sampled"
     else:
         passes = (
@@ -257,11 +300,13 @@ def subset_sup(stack: np.ndarray, stats, sampled: bool = False, seed: int = 0) -
             for base, chunk in iter_subset_sum_chunks(stack)
         )
         examined, mode = 1 << n, "exhaustive"
+    # chunks come in ascending mask order and each keeps its first argmax,
+    # so the strict > below keeps the smallest maximizing mask
     peaks = {stat.name: (-np.inf, 0) for stat in open_stats}
-    for masks, sums in passes:
+    for chunk_masks, sums in passes:
         for stat in open_stats:
             peaks[stat.name] = max(
-                peaks[stat.name], _peak(stat, sums, masks), key=lambda peak: peak[0]
+                peaks[stat.name], _peak(stat, sums, chunk_masks), key=lambda peak: peak[0]
             )
     for stat in open_stats:
         lower, witness = peaks[stat.name]

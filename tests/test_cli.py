@@ -618,12 +618,15 @@ class TestReportShape:
         "argv, absent",
         [
             (["chl5", "--p", "4", "--nmax", "3"], {"ovm", "dilation", "rng"}),
-            (["ovm-dilate", "{povm}", "--naimark"], {"frames", "framings", "rademacher"}),
+            (["ovm-dilate", "{povm}", "--naimark"],
+             {"frames", "framings", "rademacher", "alpha"}),
+            (["ovm-dilate", "{povm}", "--block"],
+             {"frames", "framings", "rademacher", "alpha"}),
             (["frame-analyze", "{mercedes}", "--dual"],
              {"framings", "ovm", "dilation", "rademacher", "rng"}),
             (["framing-rescale", "{e11}"], {"ovm", "dilation", "rademacher"}),
         ],
-        ids=["chl5", "ovm-dilate", "frame-analyze", "framing-rescale"],
+        ids=["chl5", "ovm-dilate", "ovm-dilate-block", "frame-analyze", "framing-rescale"],
     )
     def test_subcommand_loads_only_its_modules(self, tmp_path, povm, mercedes, argv, absent):
         paths = {"povm": povm, "mercedes": mercedes,

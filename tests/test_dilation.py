@@ -23,7 +23,7 @@ from dilationkit import (
     spectral_norm,
     verify_dilation,
 )
-from dilationkit.dilation import _atom_images
+from dilationkit.alpha import _atom_images
 
 from conftest import (
     random_general_ovm,

@@ -7,6 +7,7 @@ the statistic with plain numpy, one subset at a time.
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -384,3 +385,88 @@ def test_certified_checks_draw_no_sample(monkeypatch):
     assert cls.is_probability and cls.is_positive and not cls.is_projection_valued
     sups = {**cls.subset_sup, **report.subset_sup}
     assert all(sup.mode == "certified" for sup in sups.values())
+
+
+def one_shot_subset_sum_chunks(stack, chunk_bits=14):
+    """The 2^14-sum chunks iter_subset_sum_chunks streamed before it held one
+    bounded chunk, kept as its bitwise reference."""
+    k = stack.shape[0]
+    low_bits = min(k, chunk_bits)
+    low = _subsets.subset_sums(stack[:low_bits])
+    high = _subsets.subset_sums(stack[low_bits:])
+    for hi in range(high.shape[0]):
+        yield hi << low_bits, (low + high[hi]) if hi else low.copy()
+
+
+@pytest.mark.parametrize("n", [5, 14, 17])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_streamed_chunks_are_bitwise_the_one_shot_sums(n, complex_field):
+    stack = random_general_ovm(np.random.default_rng(n), n, 2, 2, complex_field).atoms
+    bases, chunks = zip(*_subsets.iter_subset_sum_chunks(stack))
+    rows = _subsets._chunk_rows(stack)
+    assert all(len(chunk) == min(rows, 1 << n) for chunk in chunks)
+    # every mask once, in ascending order
+    assert [base + j for base, chunk in zip(bases, chunks) for j in range(len(chunk))] == list(
+        range(1 << n)
+    )
+    want = np.concatenate([sums for _, sums in one_shot_subset_sum_chunks(stack)])
+    assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+
+def test_chunk_rows_fill_the_byte_budget():
+    assert _subsets._CHUNK_BYTES == 1 << 16
+    assert _subsets._chunk_rows(np.zeros((3, 8, 8))) == 128
+    assert _subsets._chunk_rows(np.zeros((3, 8, 8), dtype=complex)) == 64
+    assert _subsets._chunk_rows(np.zeros((3, 16, 12))) == 32
+    assert _subsets._chunk_rows(np.zeros((3, 128, 128))) == 1
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_tied_maximum_names_the_smaller_mask_across_chunks(monkeypatch, sampled):
+    # |sum| reaches its maximum 3 only at {0, 1} (mask 3) and {2, 3} (mask
+    # 12), which four-mask chunks put in different chunks
+    stack = np.array([[[1.0]], [[2.0]], [[-2.0]], [[-1.0]]])
+    monkeypatch.setattr(_subsets, "_CHUNK_BYTES", 4 * stack[0].nbytes)
+    monkeypatch.setattr(_subsets, "_SAMPLE_COUNT", 0)
+    assert _subsets._chunk_rows(stack) == 4
+    sup = subset_sup(stack, [Statistic("norm", batched_spectral_norms, 6.0)], sampled)["norm"]
+    assert sup.mode == ("sampled" if sampled else "exhaustive")
+    assert sup.lower == 3.0
+    assert sup.witness_mask == 0b0011
+
+
+def gaussian_measure(seed, atom_count, dim, complex_field):
+    rng = np.random.default_rng(seed)
+    atoms = 0.1 * rng.standard_normal((atom_count, dim, dim))
+    if complex_field:
+        atoms = atoms + 0.1j * rng.standard_normal((atom_count, dim, dim))
+    return Ovm(atoms)
+
+
+@pytest.mark.parametrize(
+    "atom_count, dim, complex_field, mode, limit_mib",
+    [(16, 8, True, "exhaustive", 4), (200, 16, False, "sampled", 8)],
+)
+def test_classify_holds_one_chunk_of_subset_sums(atom_count, dim, complex_field, mode, limit_mib):
+    # all 2^16 sums of 1 KiB take 64 MiB, and the 21,000 sampled sums of
+    # 2 KiB take 41 MiB; one chunk of either takes 64 KiB
+    ovm = gaussian_measure(atom_count, atom_count, dim, complex_field)
+    tracemalloc.start()
+    try:
+        cls = classify(ovm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cls.subset_sup["ovm_norm"].mode == mode
+    assert peak < limit_mib * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 24, 1000])
+def test_genuine_rows_are_bitwise_the_masked_sums(n):
+    stack = rank_one_parseval_povm(np.random.default_rng(n), n, 4).atoms.copy()
+    # every entry of one atom is -0.0 in both parts, and its rows start from +0.0
+    stack[n // 2] = complex(-0.0, -0.0)
+    genuine = sorted({0, (1 << n) - 1, *(1 << j for j in range(n))})
+    want = _subsets.masked_sums(stack, genuine)
+    assert not np.signbit(want[1 + n // 2].view(float)).any()
+    assert _subsets._genuine_sums(stack).tobytes() == want.tobytes()
