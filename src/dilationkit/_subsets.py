@@ -2,11 +2,15 @@
 
 Masks are Python ints; bit j set means atom j is in the subset.  Only
 `mask_bits` reads those bits, from one packed-byte form of a mask list
-(`_mask_bytes`).  All
-enumeration is done with the doubling construction S[2^k : 2^(k+1)] =
-S[0 : 2^k] + item[k], so index m of a result array is the sum over the
-subset encoded by m.  A pass over subset sums holds one chunk of
-`_chunk_rows` sums at a time, whatever the atom count or sample size.
+(`_mask_bytes`).  Every subset sum is formed by one rule: start from zero
+and add the subset's atoms in index order.  The doubling table
+S[2^k : 2^(k+1)] = S[0 : 2^k] + item[k], whose index m holds the sum over
+the subset encoded by m, the exhaustive and sampled passes, the genuine
+rows and `masked_sums` (so Ovm.evaluate) all follow it.  A sum thus has
+the same bits whichever path forms it, and a reported `lower` is its
+statistic at Ovm.evaluate(witness_mask), the sum of `witness_atoms`.  A
+pass over subset sums holds one chunk of `_chunk_rows` sums at a time,
+whatever the atom count or sample size.
 
 `subset_sup` is the one engine behind every "for every subset B" check on
 a measure: it certifies a supremum from atom-level bounds first, and
@@ -30,8 +34,6 @@ _EXHAUSTIVE_ATOM_LIMIT = 16
 _SAMPLE_COUNT = 1000
 # bytes of subset sums one chunk of a pass holds; see _chunk_rows
 _CHUNK_BYTES = 1 << 16
-# atoms of the low half of an exhaustive pass; the split fixes every sum's rounding
-_LOW_BITS = 14
 _MAX_ELEMENTS = 1 << 28
 # enclosure width that settles a statistic with no threshold; see subset_sup
 SETTLE_RTOL = 64 * np.finfo(np.float64).eps
@@ -86,24 +88,17 @@ def iter_subset_sum_chunks(stack: np.ndarray):
     ascending chunks of _chunk_rows(stack) masks, with sums[j] the subset
     sum for mask base_mask + j.
 
-    Every sum is bitwise that of low[m % 2^14] + high[m >> 14], the two
-    doubling tables of atoms below and from bit 14 (no high add when
-    m >> 14 is 0).  A chunk starts from a copy of the doubling table of
-    atoms 0..b-1, its 2^b rows, and adds the atoms of the remaining low
-    bits of base_mask in index order, then high: the additions the
-    doubling makes, in its order.
+    A chunk starts from a copy of the doubling table of atoms 0..b-1, its
+    2^b rows, and adds the atoms of base_mask, all at or above bit b, in
+    index order.
     """
     k = stack.shape[0]
-    low_bits = min(k, _LOW_BITS)
-    bits = min(low_bits, _chunk_rows(stack).bit_length() - 1)
+    bits = min(k, _chunk_rows(stack).bit_length() - 1)
     table = subset_sums(stack[:bits])
-    high = subset_sums(stack[low_bits:])
     for base in range(0, 1 << k, 1 << bits):
         chunk = table.copy()
-        for j in bit_indices(base & ((1 << low_bits) - 1)):
+        for j in bit_indices(base):
             chunk += stack[j]
-        if base >> low_bits:
-            chunk += high[base >> low_bits]
         yield base, chunk
 
 
@@ -181,14 +176,12 @@ def masked_sums(stack: np.ndarray, masks) -> np.ndarray:
 def _genuine_sums(stack: np.ndarray) -> np.ndarray:
     """masked_sums over the genuine subsets in ascending mask order: the
     empty set, the singletons, then the full set when it is not one of
-    them.  Each row starts from zero, so a -0.0 entry becomes +0.0, and the
-    full set adds the atoms in index order."""
+    them.  Each row starts from zero, so a -0.0 entry becomes +0.0."""
     n = stack.shape[0]
     out = np.zeros((n + 1 + (n > 1),) + stack.shape[1:], dtype=stack.dtype)
     out[1 : n + 1] += stack
     if n > 1:
-        for atom in stack:
-            out[-1] += atom
+        out[-1] = masked_sums(stack, [(1 << n) - 1])[0]
     return out
 
 

@@ -219,13 +219,17 @@ class DilationReport:
     witness.  The F residuals (`f_total_residual` for
     F(Omega) = I, `f_multiplicative_residual` for F(A)F(B) = F(A intersect
     B), `f_self_adjoint_residual` for F* = F) are exactly zero, because a
-    triple's F is a coordinate partition.  The probability fields are None
-    unless the measure of the full set is the identity, in which case they
-    certify that right @ left is idempotent.  `rank_left` is the numerical
-    rank of left under linalg.numerical_rank at verify_dilation's rel_tol,
-    the rule behind every rank here.  `block_rank_pairs` lists (rank F({j}),
-    rank E({j})); a structure-preserving dilation keeps them equal.  `sampled` is True when the atom count is above the exhaustive
-    limit; a certified eval_residual verdict is two-sided even then.
+    triple's F is a coordinate partition.  For a square measure,
+    `e_total_residual` is ||E(Omega) - I|| and `st_residual` is
+    ||left @ right - E(Omega)||, for Naimark's triple ||V*V - E(Omega)||;
+    both are None otherwise.  `probability_idempotent_residual`, set only
+    when e_total_residual <= 1e-8, certifies that right @ left is
+    idempotent.  `rank_left` is the numerical rank of left under
+    linalg.numerical_rank at verify_dilation's rel_tol, the rule behind
+    every rank here.  `block_rank_pairs` lists (rank F({j}), rank E({j}));
+    a structure-preserving dilation keeps them equal.  `sampled` is True
+    when the atom count is above the exhaustive limit; a certified
+    eval_residual verdict is two-sided even then.
     """
 
     eval_residual: float

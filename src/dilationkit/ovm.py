@@ -41,7 +41,8 @@ class Ovm:
             raise ValueError(f"atoms must be non-empty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("atoms contain non-finite entries")
-        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+        # np.array already made a private copy; astype converts it in place of a second one
+        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
         arr.flags.writeable = False
         object.__setattr__(self, "atoms", arr)
 

@@ -12,7 +12,15 @@ import pytest
 
 import dilationkit
 from dilationkit import rademacher
-from dilationkit.cli import _digest, build_parser, load_frame, load_framing, load_ovm, main
+from dilationkit.cli import (
+    _digest,
+    _encode_array,
+    build_parser,
+    load_frame,
+    load_framing,
+    load_ovm,
+    main,
+)
 from dilationkit.frames import reconstruction_residual
 from dilationkit.framings import (
     apply_rescale,
@@ -207,6 +215,25 @@ class TestOvmDilate:
         cls = report["artifacts"]["classification"]
         assert cls["is_positive"] is True
         assert cls["is_probability"] is True
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 2.0])]),
+            3 * full_rank_povm(np.random.default_rng(0), 4, 3).atoms,
+        ],
+        ids=["diag-1-0-and-0-2", "povm-times-3"],
+    )
+    def test_naimark_gram_is_the_total_measure(self, capsys, tmp_path, atoms):
+        # V*V = E(Omega), which is the identity only for a probability measure
+        dim = atoms.shape[1]
+        doc = {"dim_in": dim, "dim_out": dim, "atoms": _encode_array(atoms)}
+        path = write_doc(tmp_path / "positive.json", doc)
+        code, report, _ = run(capsys, "ovm-dilate", path, "--naimark")
+        assert code == 0
+        assert report["checks"][0]["name"] == "isometry_gram_residual"
+        assert report["checks"][0]["value"] <= 1e-10
+        assert report["artifacts"]["classification"]["is_probability"] is False
 
     def test_block_dilation_spectrality_residual_is_zero(self, capsys, framing_ovm):
         code, report, _ = run(capsys, "ovm-dilate", framing_ovm, "--block")

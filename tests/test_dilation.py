@@ -308,6 +308,14 @@ class TestNaimark:
             assert report.eval_residual <= 1e-10
             assert report.probability_idempotent_residual <= 1e-10
 
+    def test_scaled_right_factor_shows_in_st_residual(self, rng):
+        # st_residual is ||V*V - E(Omega)||, the CLI's isometry_gram_residual
+        v = random_positive_probability_ovm(rng, 6, 4, True)
+        triple = naimark_dilate(v).as_triple()
+        assert verify_dilation(v, triple).st_residual <= 1e-12
+        bad = DilationTriple(triple.left, triple.right * (1 + 1e-5), triple.block_ranks)
+        assert verify_dilation(v, bad).st_residual > 1e-10
+
     def test_non_hermitian_atom(self):
         atoms = np.stack([np.array([[0.5, 0.3], [0.0, 0.5]]), np.eye(2) * 0.5])
         with pytest.raises(NotPositive) as info:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -44,6 +46,20 @@ class TestOvmBasics:
         v = coordinate_partition()
         with pytest.raises(ValueError):
             v.atoms[0, 0, 0] = 5.0
+
+    def test_one_private_copy(self):
+        a = np.random.default_rng(2).normal(size=(200, 32, 32))
+        tracemalloc.start()
+        try:
+            ovm = Ovm(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the copy plus the finiteness mask; a second copy would reach 2x
+        assert peak <= 1.25 * a.nbytes
+        kept = a.copy()
+        a[0, 0, 0] = 7.0
+        assert np.array_equal(ovm.atoms, kept)
 
     def test_evaluate_masks(self):
         v = coordinate_partition()

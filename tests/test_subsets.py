@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import dilationkit
 from dilationkit import _subsets
+from dilationkit import ovm as ovm_module
 from dilationkit import (
     DilationTriple,
     Ovm,
@@ -387,18 +388,7 @@ def test_certified_checks_draw_no_sample(monkeypatch):
     assert all(sup.mode == "certified" for sup in sups.values())
 
 
-def one_shot_subset_sum_chunks(stack, chunk_bits=14):
-    """The 2^14-sum chunks iter_subset_sum_chunks streamed before it held one
-    bounded chunk, kept as its bitwise reference."""
-    k = stack.shape[0]
-    low_bits = min(k, chunk_bits)
-    low = _subsets.subset_sums(stack[:low_bits])
-    high = _subsets.subset_sums(stack[low_bits:])
-    for hi in range(high.shape[0]):
-        yield hi << low_bits, (low + high[hi]) if hi else low.copy()
-
-
-@pytest.mark.parametrize("n", [5, 14, 17])
+@pytest.mark.parametrize("n", [5, 14, 16, 17])
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_streamed_chunks_are_bitwise_the_one_shot_sums(n, complex_field):
     stack = random_general_ovm(np.random.default_rng(n), n, 2, 2, complex_field).atoms
@@ -409,8 +399,10 @@ def test_streamed_chunks_are_bitwise_the_one_shot_sums(n, complex_field):
     assert [base + j for base, chunk in zip(bases, chunks) for j in range(len(chunk))] == list(
         range(1 << n)
     )
-    want = np.concatenate([sums for _, sums in one_shot_subset_sum_chunks(stack)])
-    assert np.concatenate(chunks).tobytes() == want.tobytes()
+    got = np.concatenate(chunks).tobytes()
+    assert got == _subsets.subset_sums(stack).tobytes()
+    if n <= _subsets._EXHAUSTIVE_ATOM_LIMIT:
+        assert got == _subsets.masked_sums(stack, range(1 << n)).tobytes()
 
 
 def test_chunk_rows_fill_the_byte_budget():
@@ -470,3 +462,40 @@ def test_genuine_rows_are_bitwise_the_masked_sums(n):
     want = _subsets.masked_sums(stack, genuine)
     assert not np.signbit(want[1 + n // 2].view(float)).any()
     assert _subsets._genuine_sums(stack).tobytes() == want.tobytes()
+
+
+WITNESS_STATISTICS = {
+    "self_adjoint_defect": ovm_module._self_adjoint_defects,
+    "negativity": ovm_module._negativity,
+    "idempotent_defect": ovm_module._idempotent_defects,
+    "ovm_norm": batched_spectral_norms,
+    "eval_residual": batched_spectral_norms,
+}
+
+
+def assert_witnesses_reproduce(stack, sups):
+    for name, sup in sups.items():
+        value = WITNESS_STATISTICS[name](_subsets.masked_sums(stack, [sup.witness_mask]))[0]
+        assert float(value).hex() == sup.lower.hex(), name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_classify_witness_reproduces_its_value(seed):
+    # at seeds 4, 7, 9 and 11 a pass that adds atoms 14 and up as one
+    # pre-summed row reports an ovm_norm 1 ulp off its witness's value
+    ovm = Ovm(np.random.default_rng(seed).standard_normal((16, 4, 4)) * 0.1)
+    cls = classify(ovm)
+    assert cls.subset_sup["ovm_norm"].mode == "exhaustive"
+    assert_witnesses_reproduce(ovm.atoms, cls.subset_sup)
+
+
+def test_verify_dilation_witness_reproduces_its_value():
+    rng = np.random.default_rng(0)
+    ovm = Ovm(0.1 * rng.standard_normal((16, 4, 4)))
+    triple = build_block_dilation(ovm)
+    error = rng.standard_normal(triple.right.shape)
+    error *= 2e-11 / np.linalg.norm(error, 2)
+    bad = DilationTriple(triple.left, triple.right + error, triple.block_ranks)
+    report = verify_dilation(ovm, bad)
+    assert report.subset_sup["eval_residual"].mode == "exhaustive"
+    assert_witnesses_reproduce(ovm.atoms - bad.atom_products(), report.subset_sup)
