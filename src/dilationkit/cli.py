@@ -178,7 +178,9 @@ def _emit(report: dict) -> int:
 
 
 class _Partition(tuple):
-    """Block ranks that _json_chunks writes as their DilationTriple's f_atoms."""
+    """Block ranks that _json_chunks writes as their DilationTriple's f_atoms,
+    from one formatted zero row: each unit row is that row with one cell
+    changed."""
 
 
 def _json_chunks(obj, level: int = 0, checked: bool = False):
@@ -186,17 +188,25 @@ def _json_chunks(obj, level: int = 0, checked: bool = False):
     chunks.  obj's dict keys are strings; it may hold ndarrays in place of
     their _encode_array, each checked by _as_real once (`checked` marks its
     rows) and written row by row with float.__repr__, the json module's own
-    float form, and a _Partition in place of its f_atoms.tolist(), whose T
-    unit rows and zero row are formatted once."""
+    float form, and a _Partition in place of its f_atoms.tolist(), whose
+    zero row of T cells is formatted once: unit row k is that row with cell
+    k changed, so F's text is held one row at a time."""
     pad, close = "\n" + "  " * (level + 1), "\n" + "  " * level
     if isinstance(obj, _Partition) and obj:
         total, inner = sum(obj), "," + pad + "  "
-        rows = ["".join(_json_chunks(r, level + 2, True)) for r in np.eye(total + 1, total)]
+        cell = inner + "  "
+        zero = "[" + cell[1:] + cell.join([float.__repr__(0.0)] * total) + inner[1:] + "]"
+        # "0.0" and "1.0" are both 3 characters, so cell k sits at a fixed offset
+        one, step = float.__repr__(1.0), len(cell) + 3
         for j, (lo, rank) in enumerate(zip(np.cumsum((0,) + obj).tolist(), obj)):
             yield ("," if j else "[") + pad + "["
             for k in range(total):
                 yield inner if k else inner[1:]
-                yield rows[k if lo <= k < lo + rank else -1]
+                if lo <= k < lo + rank:
+                    at = len(cell) + k * step
+                    yield zero[:at] + one + zero[at + 3:]
+                else:
+                    yield zero
             yield (pad if total else "") + "]"
         yield close + "]"
         return
@@ -237,6 +247,15 @@ def _write_json_atomic(path: str, doc) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(_json_chunks(doc))
             handle.write("\n")
+        # mkstemp makes the file 0600; give it the mode open(path, "w") would:
+        # an existing file keeps its own, a new one gets 0666 less the umask
+        try:
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0o077)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc

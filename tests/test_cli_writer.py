@@ -4,10 +4,11 @@
 json.dumps(..., sort_keys=True, indent=2, allow_nan=False) on the same
 document with every array replaced by its nested lists and every
 partition by its triple's f_atoms, write nothing on a non-finite entry,
-and never hold the triple as Python lists or as a dense F stack.
+and never hold the triple as Python lists, as a dense F stack or F's text.
 """
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,17 @@ def expected(doc) -> str:
     return json.dumps(as_lists(doc), sort_keys=True, indent=2, allow_nan=False)
 
 
+def traced_peak(chunks) -> int:
+    """tracemalloc's peak while the chunks are consumed."""
+    tracemalloc.start()
+    try:
+        for _ in chunks:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSameText:
     @settings(max_examples=300, deadline=None)
     @given(arrays(), documents)
@@ -118,6 +130,11 @@ class TestSameText:
     @example([5], 1)  # a single atom: F = I
     @example([0, 0, 0], 2)  # T = 0: every atom is []
     @example([2, 0, 3], 0)
+    # T = 64, zero-rank atoms first, between and last
+    @example([0, 32, 0, 32, 0], 0)
+    @example([0, 32, 0, 32, 0], 1)
+    @example([0, 32, 0, 32, 0], 2)
+    @example([0, 32, 0, 32, 0], 3)
     def test_partition_is_written_as_f_atoms(self, ranks, depth):
         total = sum(ranks)
         triple = DilationTriple(np.zeros((1, total)), np.zeros((total, 1)), ranks)
@@ -130,6 +147,17 @@ class TestSameText:
             else:
                 doc, reference = {"f_atoms": doc}, {"f_atoms": reference}
         assert written(doc) == json.dumps(reference, indent=2)
+
+
+class TestPartitionMemory:
+    def test_block_sampled_f_stays_below_64_kib(self):
+        # T = 192: a table of formatted rows would be about 0.5 MB of text
+        assert traced_peak(_json_chunks({"f_atoms": _Partition((8,) * 24)})) < 64 << 10
+
+    def test_first_chunks_at_t_2048_stay_below_1_mib(self):
+        # 256 atoms of rank 8: the first chunks come before any T x T table
+        chunks = _json_chunks(_Partition((8,) * 256))
+        assert traced_peak(chunk for _, chunk in zip(range(10), chunks)) < 1 << 20
 
 
 class TestAtomicFailure:
@@ -164,6 +192,27 @@ class TestAtomicFailure:
         assert captured.out == ""
         assert captured.err == "error: Out of range float values are not JSON compliant\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ovm.json"]
+
+
+@pytest.mark.parametrize(
+    "umask, replaced, mode",
+    [(0o022, None, 0o644), (0o002, None, 0o664), (0o077, None, 0o600),
+     (0o022, 0o600, 0o600), (0o022, 0o640, 0o640)],
+    ids=["new-022", "new-002", "new-077", "replaced-600", "replaced-640"],
+)
+def test_written_file_gets_the_mode_open_would_give(tmp_path, umask, replaced, mode):
+    # a new file gets 0666 less the umask, a replaced one keeps its mode
+    target = tmp_path / "triple.json"
+    if replaced is not None:
+        target.write_text("old", encoding="utf-8")
+        target.chmod(replaced)
+    old = os.umask(umask)
+    try:
+        _write_json_atomic(str(target), {"block_ranks": [1]})
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == mode
+    assert target.read_text(encoding="utf-8") == '{\n  "block_ranks": [\n    1\n  ]\n}\n'
 
 
 def ovm_file(tmp_path, atoms):
