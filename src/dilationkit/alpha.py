@@ -87,12 +87,19 @@ def _atom_images(ovm: Ovm, rep: Representation):
     return (ovm.atoms @ combined[:, :, None])[:, :, 0]
 
 
+def _norm_at(images: np.ndarray, mask: int) -> float:
+    """Norm of the subset sum of `images` at `mask`, summed from zero in
+    index order by _subsets.masked_sums, so a reported value is what its
+    witness reproduces whichever search chose the witness."""
+    return float(np.linalg.norm(_subsets.masked_sums(images[:, :, None], [mask])[0, :, 0]))
+
+
 @dataclass(frozen=True)
 class AlphaNorm:
     """Value of the alpha functional and the subset attaining it.
 
-    `witness` is the smallest maximizing mask, so it holds no atom with an
-    exactly zero image.
+    `value` is the norm at `witness`, the smallest maximizing mask, so the
+    witness holds no atom with an exactly zero image.
     """
 
     value: float
@@ -119,19 +126,19 @@ def alpha_norm(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_TERM_LIM
         raise ExactModeTooLarge(
             f"{len(nonzero)} nonzero atoms exceed the exact enumeration ceiling {exact_limit}"
         )
-    value, reduced = _subsets.max_subset_norm(images[nonzero])
+    _, reduced = _subsets.max_subset_norm(images[nonzero])
     # dropping the zero-image atoms keeps the order of masks, so the
     # smallest reduced witness maps to the smallest witness
     witness = sum(1 << nonzero[pos] for pos in _subsets.bit_indices(reduced))
-    return AlphaNorm(value=value, witness=witness)
+    return AlphaNorm(value=_norm_at(images, witness), witness=witness)
 
 
 @dataclass(frozen=True)
 class AlphaBounds:
     """Certified enclosure lower <= alpha <= upper from heuristic search.
 
-    `witness` attains `lower`; `upper` is the triangle-inequality bound
-    sum_j ||v_j||.
+    `lower` is the norm at `witness`; `upper` is the triangle-inequality
+    bound sum_j ||v_j||.
     """
 
     lower: float
@@ -162,7 +169,8 @@ def alpha_norm_bounds(ovm: Ovm, rep: Representation) -> AlphaBounds:
             current = candidate
             current_norm = candidate_norm
             witness |= 1 << j
-    return AlphaBounds(lower=current_norm, upper=float(norms.sum()), witness=witness)
+    lower = _norm_at(images, witness)
+    return AlphaBounds(lower=lower, upper=float(norms.sum()), witness=witness)
 
 
 def omega_upper_bound(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_TERM_LIMIT) -> float:

@@ -216,28 +216,22 @@ class DilationReport:
     value at the witness subset; when the subsets are enumerated it is the
     exact maximum, and when they are sampled the sampled maximum.
     `subset_sup["eval_residual"]` holds the enclosure, its mode and its
-    witness.  The F residuals (`f_total_residual` for
-    F(Omega) = I, `f_multiplicative_residual` for F(A)F(B) = F(A intersect
-    B), `f_self_adjoint_residual` for F* = F) are exactly zero, because a
-    triple's F is a coordinate partition.  For a square measure,
-    `e_total_residual` is ||E(Omega) - I|| and `st_residual` is
-    ||left @ right - E(Omega)||, for Naimark's triple ||V*V - E(Omega)||;
-    both are None otherwise.  `probability_idempotent_residual`, set only
-    when e_total_residual <= 1e-8, certifies that right @ left is
-    idempotent.  `rank_left` is the numerical rank of left under
-    linalg.numerical_rank at verify_dilation's rel_tol, the rule behind
-    every rank here.  `block_rank_pairs` lists (rank F({j}), rank E({j}));
-    a structure-preserving dilation keeps them equal.  `sampled` is True
-    when the atom count is above the exhaustive limit; a certified
-    eval_residual verdict is two-sided even then.
+    witness.  F's identities are DilationTriple's constructor guarantee and
+    are not reported.  For a square measure, `e_total_residual` is
+    ||E(Omega) - I|| and `st_residual` is ||left @ right - E(Omega)||, for
+    Naimark's triple ||V*V - E(Omega)||; both are None otherwise.
+    `probability_idempotent_residual`, set only when e_total_residual <=
+    1e-8, certifies that right @ left is idempotent.  `rank_left` is the
+    numerical rank of left under linalg.numerical_rank at
+    verify_dilation's rel_tol, the rule behind every rank here.
+    `block_rank_pairs` lists (rank F({j}), rank E({j})); a
+    structure-preserving dilation keeps them equal.  `sampled` is True when
+    the atom count is above the exhaustive limit; a certified eval_residual
+    verdict is two-sided even then.
     """
 
     eval_residual: float
-    f_total_residual: float
-    f_multiplicative_residual: float
-    f_self_adjoint_residual: float
     rank_left: int
-    right_min_singular: float
     block_rank_pairs: tuple
     ranks_match: bool
     e_total_residual: float | None
@@ -285,10 +279,6 @@ def verify_dilation(
     certified_pass = result.mode == "certified" and result.upper <= EVAL_TOL
     eval_residual = result.upper if certified_pass else result.lower
     rank_left = numerical_rank(np.linalg.svd(triple.left, compute_uv=False), rel_tol)
-    if triple.right.size:
-        right_min_singular = float(np.linalg.svd(triple.right, compute_uv=False).min())
-    else:
-        right_min_singular = 0.0
     atom_singular = np.linalg.svd(ovm.atoms, compute_uv=False)
     pairs = tuple(
         (f_rank, numerical_rank(s, rel_tol))
@@ -312,11 +302,7 @@ def verify_dilation(
             prob_idem = spectral_norm(r_right @ (st - eye) @ r_left.conj().T)
     return DilationReport(
         eval_residual=eval_residual,
-        f_total_residual=0.0,
-        f_multiplicative_residual=0.0,
-        f_self_adjoint_residual=0.0,
         rank_left=rank_left,
-        right_min_singular=right_min_singular,
         block_rank_pairs=pairs,
         ranks_match=all(a == b for a, b in pairs),
         e_total_residual=e_total_residual,

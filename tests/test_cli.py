@@ -235,13 +235,23 @@ class TestOvmDilate:
         assert report["checks"][0]["value"] <= 1e-10
         assert report["artifacts"]["classification"]["is_probability"] is False
 
-    def test_block_dilation_spectrality_residual_is_zero(self, capsys, framing_ovm):
+    def test_block_dilation_has_one_coordinate_per_atom(self, capsys, framing_ovm):
         code, report, _ = run(capsys, "ovm-dilate", framing_ovm, "--block")
         assert code == 0
-        names = {c["name"]: c for c in report["checks"]}
-        assert names["f_multiplicative_residual"]["value"] == 0.0
-        assert names["f_total_residual"]["pass"]
         assert report["artifacts"]["block_ranks"] == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "mode, names",
+        [
+            ("--block", ["eval_residual", "rank_preservation"]),
+            ("--naimark", ["isometry_gram_residual", "eval_residual", "rank_preservation"]),
+        ],
+    )
+    def test_check_list(self, capsys, povm, mode, names):
+        # F's identities hold by construction of the triple, so no check restates them
+        code, report, _ = run(capsys, "ovm-dilate", povm, mode)
+        assert code == 0
+        assert [c["name"] for c in report["checks"]] == names
 
     def test_indefinite_naimark_rejected(self, capsys, indefinite):
         code, report, err = run(capsys, "ovm-dilate", indefinite, "--naimark")

@@ -215,6 +215,28 @@ def test_written_file_gets_the_mode_open_would_give(tmp_path, umask, replaced, m
     assert target.read_text(encoding="utf-8") == '{\n  "block_ranks": [\n    1\n  ]\n}\n'
 
 
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-640", "dangling"])
+def test_symlinked_output_writes_through_the_link(tmp_path, existing):
+    # as with open(link, "w"): the link stays a link and its target gets the
+    # triple, keeping its mode or, when new, 0666 less the umask
+    path, _ = ovm_file(tmp_path, WITH_ZERO_ATOM)
+    target, link = tmp_path / "t.json", tmp_path / "link.json"
+    if existing:
+        target.write_text("old", encoding="utf-8")
+        target.chmod(0o640)
+    link.symlink_to(target.name)
+    old = os.umask(0o022)
+    try:
+        assert main(["ovm-dilate", str(path), "--block", "--output", str(link)]) == 0
+    finally:
+        os.umask(old)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.stat().st_mode & 0o777 == (0o640 if existing else 0o644)
+    written = json.loads(target.read_text(encoding="utf-8"))
+    assert written["block_ranks"] == [2, 0, 1]
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "ovm.json", "t.json"]
+
+
 def ovm_file(tmp_path, atoms):
     """Write atoms (reals or [re, im] pairs) as an ovm input file."""
     atoms = np.asarray(atoms)

@@ -171,6 +171,30 @@ class TestAlphaBounds:
         assert rep_norm_at(v, rep, bounds.witness) == pytest.approx(bounds.lower, rel=1e-12)
 
 
+def in_order_norm(ovm, rep, mask):
+    """Norm of the witness's atom images summed from zero in index order."""
+    images = _atom_images(ovm, rep)
+    acc = np.zeros(ovm.dim_out, dtype=images.dtype)
+    for j in _subsets.bit_indices(mask):
+        acc = acc + images[j]
+    return float(np.linalg.norm(acc))
+
+
+@pytest.mark.parametrize("n", [8, 18])
+def test_reported_alpha_values_reproduce_from_their_witnesses(n):
+    # the meet-in-the-middle expansion and the greedy's descending-norm
+    # running sum each differ from this sum in the last bits on some seeds
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        v = random_general_ovm(rng, n, 3, 2, complex_field=True)
+        vector = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rep = Representation.from_terms([(1.0, v.full_mask, vector)])
+        exact = alpha_norm(v, rep)
+        assert exact.value == in_order_norm(v, rep, exact.witness)
+        bounds = alpha_norm_bounds(v, rep)
+        assert bounds.lower == in_order_norm(v, rep, bounds.witness)
+
+
 class TestOmegaBound:
     def test_single_term_equals_alpha_bitwise(self, rng):
         for complex_field in (False, True):
@@ -218,9 +242,6 @@ class TestBlockDilation:
         v = random_general_ovm(rng, 5, 4, 3, complex_field=True)
         report = verify_dilation(v, build_block_dilation(v))
         assert report.eval_residual <= 1e-10
-        assert report.f_total_residual <= 1e-12
-        assert report.f_multiplicative_residual == 0.0
-        assert report.f_self_adjoint_residual == 0.0
         assert report.ranks_match
         assert not report.sampled
         assert report.e_total_residual is None
@@ -376,6 +397,20 @@ class TestTriplePartition:
             for mask in range(1 << triple.atom_count):
                 selected = [j for j in range(triple.atom_count) if mask >> j & 1]
                 assert np.array_equal(triple.f_evaluate(mask), reference[selected].sum(axis=0))
+
+    def test_f_is_an_exact_spectral_measure(self, rng):
+        # F(Omega) = I, F(A)F(B) = F(A intersect B) and F* = F hold bit for
+        # bit for every triple, which is why a DilationReport states none
+        triples = [t for _, t in triples_with_zero_atoms(rng)]
+        triples.append(build_block_dilation(induced_from_framing(example_e11(2))))
+        for triple in triples:
+            assert np.array_equal(triple.f_evaluate(triple.full_mask), np.eye(triple.total_dim))
+            masks = range(1 << triple.atom_count)
+            for a in masks:
+                f_a = triple.f_evaluate(a)
+                assert np.array_equal(f_a.T, f_a)
+                for b in masks:
+                    assert np.array_equal(f_a @ triple.f_evaluate(b), triple.f_evaluate(a & b))
 
     def test_slices_match_dense_products(self, rng):
         for _, triple in triples_with_zero_atoms(rng):
