@@ -381,8 +381,8 @@ def cmd_ovm_dilate(args) -> int:
 
 
 def cmd_framing_rescale(args) -> int:
-    from .frames import reconstruction_residual
-    from .framings import apply_rescale, is_dual_frame_pair, rescale_sqrt
+    from .frames import frame_bounds, reconstruction_residual
+    from .framings import apply_rescale, dual_pair_verdict, rescale_sqrt
 
     doc = _load_doc(args.path)
     framing = load_framing(doc)
@@ -399,7 +399,9 @@ def cmd_framing_rescale(args) -> int:
     plan = rescale_sqrt(framing)
     rescaled = apply_rescale(framing, plan)
     x_frame, y_frame = rescaled.frames()
-    verdict = is_dual_frame_pair(x_frame, y_frame, tol=args.tol)
+    verdict = dual_pair_verdict(
+        frame_bounds(x_frame), frame_bounds(y_frame), rescaled.tolerance, args.tol
+    )
     report["checks"].append(
         _check("dual_pair_verdict", 0.0 if verdict else 1.0, 0.0, passed=verdict)
     )
@@ -420,6 +422,8 @@ def cmd_chl5(args) -> int:
         raise SchemaError("--nmax must be between 1 and 11")
     if not args.p > 1.0 or args.p == 2.0:
         raise SchemaError("--p must exceed 1 and differ from 2")
+    if not rademacher.bounds_stay_finite(args.p, args.nmax):
+        raise SchemaError(f"--p {args.p} is too far from 2: --nmax {args.nmax} overflows a float")
     if args.trials < 100:
         raise SchemaError("--trials must be at least 100")
     # --trials and --seed have no effect, so they stay out of the digest
@@ -532,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     frame.add_argument(
         "--dilate", action="store_true", help="dilate a Parseval frame to an ONB"
     )
-    frame.add_argument("--tol", type=float, default=1e-8, help=(
+    frame.add_argument("--tol", type=_finite_float, default=1e-8, help=(
         "absolute check threshold: the Parseval flag and --dilate need both frame "
         "bounds within tol of 1 and ||S - I|| at most tol"))
     frame.set_defaults(handler=cmd_frame_analyze)
@@ -542,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = ovm.add_mutually_exclusive_group(required=True)
     mode.add_argument("--naimark", action="store_true", help="positive-measure dilation")
     mode.add_argument("--block", action="store_true", help="general block dilation")
-    ovm.add_argument("--tol", type=float, default=DEFAULT_REL_TOL, help=(
+    ovm.add_argument("--tol", type=_finite_float, default=DEFAULT_REL_TOL, help=(
         "relative rank cutoff: an atom's singular values (eigenvalues under --naimark) "
         "at or below tol times its largest count as zero"))
     ovm.add_argument("--seed", type=int, default=0)
@@ -560,13 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     framing = sub.add_parser("framing-rescale", help="norm-balancing rescale plan")
     framing.add_argument("path", help="framing JSON file")
-    framing.add_argument("--tol", type=float, default=1e-8, help=(
+    framing.add_argument("--tol", type=_finite_float, default=1e-8, help=(
         "absolute check threshold on the reconstruction residual "
         "||sum_i x_i (x) y_i - I||, before and after the rescale"))
     framing.set_defaults(handler=cmd_framing_rescale)
 
     chl = sub.add_parser("chl5", help="sign-matrix framing sweep on l_p blocks")
-    chl.add_argument("--p", type=float, required=True, help="exponent, p > 1 and p != 2")
+    chl.add_argument("--p", type=_finite_float, required=True, help="exponent, p > 1 and p != 2")
     chl.add_argument("--nmax", type=int, default=6, help="largest block level, <= 11")
     chl.add_argument("--trials", type=int, default=200,
                      help="accepted (>= 100) and has no effect: the sweep draws no sample")

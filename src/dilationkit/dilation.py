@@ -217,25 +217,17 @@ class DilationReport:
     exact maximum, and when they are sampled the sampled maximum.
     `subset_sup["eval_residual"]` holds the enclosure, its mode and its
     witness.  F's identities are DilationTriple's constructor guarantee and
-    are not reported.  For a square measure, `e_total_residual` is
-    ||E(Omega) - I|| and `st_residual` is ||left @ right - E(Omega)||, for
-    Naimark's triple ||V*V - E(Omega)||; both are None otherwise.
-    `probability_idempotent_residual`, set only when e_total_residual <=
-    1e-8, certifies that right @ left is idempotent.  `rank_left` is the
-    numerical rank of left under linalg.numerical_rank at
-    verify_dilation's rel_tol, the rule behind every rank here.
-    `block_rank_pairs` lists (rank F({j}), rank E({j})); a
-    structure-preserving dilation keeps them equal.  `sampled` is True when
-    the atom count is above the exhaustive limit; a certified eval_residual
-    verdict is two-sided even then.
+    are not reported.  For a square measure `st_residual` is
+    ||left @ right - E(Omega)||, for Naimark's triple ||V*V - E(Omega)||;
+    it is None otherwise.  `block_rank_pairs` lists
+    (rank F({j}), rank E({j})); a structure-preserving dilation keeps them
+    equal.  `sampled` is True when the atom count is above the exhaustive
+    limit; a certified eval_residual verdict is two-sided even then.
     """
 
     eval_residual: float
-    rank_left: int
     block_rank_pairs: tuple
     ranks_match: bool
-    e_total_residual: float | None
-    probability_idempotent_residual: float | None
     st_residual: float | None
     sampled: bool
     subset_sup: dict
@@ -261,6 +253,12 @@ def verify_dilation(
     with at most `max_exhaustive_atoms` atoms, above that on the subsets
     _subsets.sample_masks draws from `seed`.  The `sampled` flag records
     that the atom count is above the limit.
+
+    right @ left needs no idempotence check of its own.  With
+    g = right @ left, g @ g - g = right @ (left @ right - I) @ left, so
+    ||g @ g - g|| <= ||left|| ||right|| (st_residual + ||E(Omega) - I||),
+    and ||E(Omega) - I|| is a fact about the measure, which ovm.classify
+    judges for `is_probability`.
     """
     if triple.atom_count != ovm.atom_count:
         raise ValueError("triple and measure have different atom counts")
@@ -278,35 +276,15 @@ def verify_dilation(
     result = sup["eval_residual"]
     certified_pass = result.mode == "certified" and result.upper <= EVAL_TOL
     eval_residual = result.upper if certified_pass else result.lower
-    rank_left = numerical_rank(np.linalg.svd(triple.left, compute_uv=False), rel_tol)
-    atom_singular = np.linalg.svd(ovm.atoms, compute_uv=False)
-    pairs = tuple(
-        (f_rank, numerical_rank(s, rel_tol))
-        for f_rank, s in zip(triple.block_ranks, atom_singular)
-    )
-    e_total_residual = None
-    prob_idem = None
+    e_ranks = [numerical_rank(s, rel_tol) for s in np.linalg.svd(ovm.atoms, compute_uv=False)]
+    pairs = tuple(zip(triple.block_ranks, e_ranks))
     st_residual = None
     if ovm.is_square:
-        e_total = ovm.evaluate(ovm.full_mask)
-        eye = np.eye(ovm.dim_out, dtype=ovm.atoms.dtype)
-        e_total_residual = spectral_norm(e_total - eye)
-        st = triple.left @ triple.right
-        st_residual = spectral_norm(st - e_total)
-        if e_total_residual <= 1e-8:
-            # With g = right @ left, g @ g - g = right @ (st - I) @ left.  The
-            # Q factors of right = Q R and left* = Q' R' have orthonormal
-            # columns, so its norm is that of the small R (st - I) R'*.
-            r_right = np.linalg.qr(triple.right, mode="r")
-            r_left = np.linalg.qr(triple.left.conj().T, mode="r")
-            prob_idem = spectral_norm(r_right @ (st - eye) @ r_left.conj().T)
+        st_residual = spectral_norm(triple.left @ triple.right - ovm.evaluate(ovm.full_mask))
     return DilationReport(
         eval_residual=eval_residual,
-        rank_left=rank_left,
         block_rank_pairs=pairs,
         ranks_match=all(a == b for a, b in pairs),
-        e_total_residual=e_total_residual,
-        probability_idempotent_residual=prob_idem,
         st_residual=st_residual,
         sampled=sampled,
         subset_sup=sup,

@@ -82,6 +82,21 @@ def build_block(n: int, p: float) -> RademacherBlock:
     return RademacherBlock(n=n, p=p, q=q, eps=eps, r=(2.0 ** (-n / p)) * eps, alphas=alphas)
 
 
+def bounds_stay_finite(p: float, n_max: int) -> bool:
+    """True when the magnitudes behind levels 1 .. n_max's bounds at exponent
+    p stay below half the largest float, the half absorbing rounding.  Binet's
+    formula bounds log Gamma(x), x = (r + 1)/2 with r = max(p, q), in
+    projection_norm_bounds by (x - 1/2) log x - x + log(2 pi)/2 + 1/(12 x):
+    the limit falls at r = 341.979 (math.gamma overflows above r = 342.25).
+    balanced_ratios' sums of C(k, j) |k - 2j|^p are at most 2^k k^p, so at
+    most 2^n_max n_max^p.  Neither log raises for any float p > 1.
+    """
+    x = (max(p, p / (p - 1.0)) + 1.0) / 2.0
+    log_gamma = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi) + 1.0 / (12.0 * x)
+    log_moment = n_max * math.log(2.0) + p * math.log(n_max)
+    return max(log_gamma, log_moment) <= math.log(np.finfo(np.float64).max / 2.0)
+
+
 def project(block: RademacherBlock, x) -> np.ndarray:
     """P x = eps^T (eps x) / 2^n, for a vector or for each column of a matrix."""
     return block.eps.T @ (block.eps @ x) / (1 << block.n)

@@ -1,4 +1,5 @@
-"""The CLI's exit-code contract on arbitrary small input documents.
+"""The CLI's exit-code contract on arbitrary small input documents and on
+flag values at the edge of the float range.
 
 Whatever the file holds, `main` returns 0, 1 or 2 and lets no exception
 escape.  A report on stdout is JSON with sorted keys whose `pass` agrees
@@ -8,9 +9,11 @@ with the exit code; without a report, stderr carries an error line.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -131,3 +134,46 @@ def check_contract(argv, doc):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_every_document_keeps_the_exit_code_contract(invocation):
     check_contract(*invocation)
+
+
+def run_flags(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["frame-analyze", "input.json", "--tol"], "--tol"),
+        (["ovm-dilate", "input.json", "--block", "--tol"], "--tol"),
+        (["framing-rescale", "input.json", "--tol"], "--tol"),
+        (["chl5", "--nmax", "2", "--p"], "--p"),
+    ],
+)
+def test_non_finite_flags_exit_2_naming_the_flag(argv, flag, value):
+    # "--tol=-inf": a bare "-inf" after the flag would parse as an option
+    code, out, err = run_flags(argv[:-1] + [f"{argv[-1]}={value}"])
+    assert code == 2 and not out
+    assert f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize(
+    "p, nmax",
+    [(1.0029, 6), (296.0, 11), (300.0, 11), (309.0, 10), (343.0, 6), (1e308, 6), (1e308, 1)],
+)
+def test_chl5_exponents_beyond_the_float_range_exit_2_naming_p(p, nmax):
+    code, out, err = run_flags(["chl5", "--p", repr(p), "--nmax", str(nmax)])
+    assert code == 2 and not out
+    assert err.startswith("error: --p ")
+
+
+@pytest.mark.parametrize("p, nmax", [(1.00294, 11), (292.5, 11), (304.9, 10), (341.9, 7)])
+def test_chl5_exponents_at_the_float_range_edge_give_finite_bounds(p, nmax):
+    code, out, err = run_flags(["chl5", "--p", repr(p), "--nmax", str(nmax)])
+    assert code == 0 and not err
+    levels = json.loads(out, parse_constant=reject_constant)["artifacts"]["levels"]
+    assert len(levels) == nmax
+    assert all(math.isfinite(v) for level in levels.values() for v in level.values())

@@ -244,7 +244,7 @@ class TestBlockDilation:
         assert report.eval_residual <= 1e-10
         assert report.ranks_match
         assert not report.sampled
-        assert report.e_total_residual is None
+        assert report.st_residual is None
 
     def test_mask_range(self, rng):
         triple = build_block_dilation(random_general_ovm(rng, 3, 2, 2))
@@ -263,19 +263,30 @@ class TestVerify:
         )
         assert verify_dilation(v, bad).eval_residual > 1e-4
 
-    def test_probability_residual_matches_dense_form(self, rng):
+    def test_st_residual_bounds_the_idempotent_defect(self, rng):
+        # g @ g - g = right (left right - I) left, so with g = right @ left
+        # ||g @ g - g|| <= ||left|| ||right|| (st_residual + ||E(Omega) - I||)
+        def check(v, triple):
+            g = triple.right @ triple.left
+            dense = spectral_norm(g @ g - g)
+            report = verify_dilation(v, triple)
+            e_defect = spectral_norm(v.evaluate(v.full_mask) - np.eye(v.dim_out))
+            scale = spectral_norm(triple.left) * spectral_norm(triple.right)
+            # forming g @ g - g rounds at about eps ||g||^2 <= eps scale^2
+            rounding = 16 * np.finfo(float).eps * scale**2
+            assert dense <= scale * (report.st_residual + e_defect) + rounding
+            return dense, report.st_residual
+
         v = random_positive_probability_ovm(rng, 4, 3, True)
         triple = naimark_dilate(v).as_triple()
-        bad = DilationTriple(
-            left=triple.left,
-            right=triple.right * 1.01,
-            block_ranks=triple.block_ranks,
-        )
-        g = bad.right @ bad.left
-        dense = spectral_norm(g @ g - g)
-        assert dense > 1e-3
-        report = verify_dilation(v, bad)
-        assert report.probability_idempotent_residual == pytest.approx(dense, rel=1e-12)
+        bad = DilationTriple(triple.left, triple.right * 1.01, triple.block_ranks)
+        dense, st_residual = check(v, bad)
+        assert dense > 1e-3 and st_residual > 1e-10
+        for complex_field in (False, True):
+            for _ in range(5):
+                v = random_positive_probability_ovm(rng, 5, 3, complex_field)
+                dense, st_residual = check(v, build_block_dilation(v))
+                assert st_residual <= 1e-10
 
     def test_atom_count_mismatch(self, rng):
         v = random_general_ovm(rng, 3, 2, 2)
@@ -283,13 +294,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_dilation(w, build_block_dilation(v))
 
-    def test_rank_left_uses_the_package_rank_rule(self):
+    def test_block_rank_pairs_use_the_package_rank_rule(self):
         # numpy's matrix_rank cutoff 2 * eps would count 1e-12 and report 2
         left = np.diag([1.0, 1e-12])
         triple = DilationTriple(left=left, right=np.eye(2), block_ranks=(2,))
         report = verify_dilation(Ovm(left[None]), triple)
         assert report.eval_residual == 0.0
-        assert report.rank_left == 1
+        assert report.block_rank_pairs == ((2, 1),)
+        assert not report.ranks_match
 
     def test_ranks_are_counted_at_the_construction_cutoff(self):
         # the 1e-11 direction is kept at a 1e-12 cutoff and dropped at the default
@@ -298,7 +310,7 @@ class TestVerify:
         assert triple.block_ranks == (2, 1)
         report = verify_dilation(v, triple, rel_tol=1e-12)
         assert report.block_rank_pairs == ((2, 2), (1, 1))
-        assert report.ranks_match and report.rank_left == 2
+        assert report.ranks_match
         assert not verify_dilation(v, triple).ranks_match
 
     def test_sampled_above_limit(self):
@@ -317,7 +329,6 @@ class TestNaimark:
         report = verify_dilation(v, d.as_triple())
         assert report.eval_residual <= 1e-12
         assert report.st_residual <= 1e-12
-        assert report.probability_idempotent_residual <= 1e-12
 
     def test_isometry_on_random_positive(self, rng):
         for complex_field in (False, True):
@@ -327,7 +338,6 @@ class TestNaimark:
             assert spectral_norm(gram - np.eye(4)) <= 1e-10
             report = verify_dilation(v, d.as_triple())
             assert report.eval_residual <= 1e-10
-            assert report.probability_idempotent_residual <= 1e-10
 
     def test_scaled_right_factor_shows_in_st_residual(self, rng):
         # st_residual is ||V*V - E(Omega)||, the CLI's isometry_gram_residual

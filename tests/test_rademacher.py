@@ -15,6 +15,7 @@ from dilationkit.rademacher import (
     MONOTONE_RTOL,
     assemble_framing,
     balanced_ratios,
+    bounds_stay_finite,
     build_block,
     dual_side_check,
     khintchine_report,
@@ -436,3 +437,46 @@ class TestAssembledFraming:
             assemble_framing(4.0, 0)
         with pytest.raises(ValueError):
             assemble_framing(4.0, 12)
+
+
+def largest_admitted_exponent(n_max):
+    """The largest p the guard admits at n_max, by bisection on floats."""
+    lo, hi = 3.0, 400.0
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if bounds_stay_finite(mid, n_max) else (lo, mid)
+    return lo
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("n_max", range(1, 12))
+    def test_admitted_edge_gives_finite_bounds(self, n_max):
+        r = largest_admitted_exponent(n_max)
+        # the largest exponent and the smallest conjugate one, q = r
+        for p in (r, r / (r - 1.0)):
+            assert bounds_stay_finite(p, n_max), p
+            for n in range(1, n_max + 1):
+                block = build_block(n, p)
+                lower, upper, _ = projection_norm_bounds(block)
+                ratios = balanced_ratios(block)
+                assert all(map(math.isfinite, [lower, upper, *ratios])), (p, n)
+
+    def test_rejects_where_todays_arithmetic_overflows(self):
+        # math.gamma((r + 1)/2) overflows from r = 342.25 on
+        with pytest.raises(OverflowError):
+            projection_norm_bounds(build_block(1, 343.0))
+        assert not bounds_stay_finite(343.0, 1)
+        assert not bounds_stay_finite(1.0029, 1)
+        # 11^296 is finite, but the j = 0 and j = 11 terms sum past the range
+        assert not np.isfinite(balanced_ratios(build_block(11, 296.0))).all()
+        assert not bounds_stay_finite(296.0, 11)
+        assert bounds_stay_finite(296.0, 10)
+
+    @pytest.mark.parametrize("p", [1.0 + 2.0**-52, 1e6, 1e308])
+    def test_extreme_exponents_are_rejected_without_raising(self, p):
+        assert not bounds_stay_finite(p, 11)
+        assert not bounds_stay_finite(p, 1)
+
+    def test_quartic_is_far_inside(self):
+        assert bounds_stay_finite(4.0, 11)
+        assert largest_admitted_exponent(11) > 292.0
