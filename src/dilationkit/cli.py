@@ -90,6 +90,45 @@ def _dimension(doc: dict, key: str) -> int:
     return value
 
 
+# Largest input scale the loaders accept; see _check_scale
+_SCALE_LIMIT = 2.0**511
+
+
+def _check_scale(factor: float, label: str, *arrays) -> None:
+    """Raise ValueError when an input's scale s = factor * max|entry| over
+    `arrays` exceeds 2^511; `label` names the factor.
+
+    Below the limit no check overflows.  Write M = max|entry|.
+    - A measure's scale is n d M, for n atoms and d = max(dim_in, dim_out),
+      so every subset sum has ||E(B)|| <= sum_j ||E_j||_F <= s.  The checks
+      decompose and compare E(B), E(B) - E(B)*, sym E(B), E(Omega) - I, the
+      block factors q_j* E_j (q_j orthonormal), Naimark's V_j* V_j (norm at
+      most ||E_j||) and a triple's residuals E(B) - left F(B) right, each of
+      norm at most 2s + 1, and the products E(B)^2 - E(B) and
+      E_i E_j - delta_ij E_i, of norm at most s^2 + s.  classify's bounds
+      U^2 + U and sum_ij N_ij are at most s^2 + s too, as U <= s.
+    - A frame's scale sqrt(N d) M, for N vectors in dimension d, is at
+      least the Frobenius norm of its vector array X, so ||X|| <= s, and
+      the frame operator X^T conj(X) and a framing's sum x^T conj(y) have
+      norm at most s^2.  The canonical dual's vectors S^-1 x_n have norm at
+      most lambda_min(S)^(-1/2), which does not grow with s.
+    - An entry of a product XY, and each partial sum forming it, is at most
+      ||X|| ||Y|| (Cauchy-Schwarz on a row and a column).  The factors above
+      have norm at most s, except a block triple's left, of norm at most
+      sqrt(n).
+    So every intermediate is at most (s + 1)^2 or sqrt(n) s, below 2^1023
+    and the largest float, and the SVD and eigensolvers scale their input
+    internally.  The scale does not bound framing-rescale's ratios
+    ||y_i|| / ||x_i||, nor the rescale plan built from them.
+    """
+    peak = max(float(np.abs(a).max()) for a in arrays)
+    if factor * peak > _SCALE_LIMIT:
+        raise ValueError(
+            f"input scale {label} * max|entry| = {factor:.6g} * {peak:.3e} "
+            f"exceeds the limit 2^511 = {_SCALE_LIMIT:.3e}"
+        )
+
+
 def load_frame(doc) -> Frame:
     from .frames import Frame
 
@@ -99,7 +138,9 @@ def load_frame(doc) -> Frame:
     vectors = doc["vectors"]
     if not isinstance(vectors, list) or not vectors:
         raise SchemaError('"vectors" must be a non-empty list')
-    return Frame(_matrix(vectors, len(vectors), dim, "vectors"))
+    vectors = _matrix(vectors, len(vectors), dim, "vectors")
+    _check_scale(math.sqrt(vectors.size), "sqrt(N*d)", vectors)
+    return Frame(vectors)
 
 
 def load_ovm(doc) -> Ovm:
@@ -112,7 +153,9 @@ def load_ovm(doc) -> Ovm:
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError('"atoms" must be a non-empty list of matrices')
-    return Ovm(np.stack([_matrix(a, dim_out, dim_in, f"atom {i}") for i, a in enumerate(atoms)]))
+    atoms = np.stack([_matrix(a, dim_out, dim_in, f"atom {i}") for i, a in enumerate(atoms)])
+    _check_scale(len(atoms) * max(dim_in, dim_out), "n*d", atoms)
+    return Ovm(atoms)
 
 
 def load_framing(doc) -> Framing:
@@ -133,7 +176,9 @@ def load_framing(doc) -> Framing:
     if any(np.iscomplexobj(v) for v in xs + ys):
         xs = [v.astype(complex) for v in xs]
         ys = [v.astype(complex) for v in ys]
-    return Framing(np.stack(xs), np.stack(ys))
+    x, y = np.stack(xs), np.stack(ys)
+    _check_scale(math.sqrt(x.size), "sqrt(N*d)", x, y)
+    return Framing(x, y)
 
 
 def _digest(command: str, doc, flags: dict) -> str:
@@ -274,8 +319,7 @@ def cmd_frame_analyze(args) -> int:
         reconstruction_residual,
     )
 
-    doc = _load_doc(args.path)
-    frame = load_frame(doc)
+    doc, frame = _load(args.path, load_frame)
     flags = {"dual": args.dual, "dilate": args.dilate, "tol": args.tol}
     report = {
         "command": "frame-analyze",
@@ -306,8 +350,7 @@ def cmd_ovm_dilate(args) -> int:
     from .dilation import EVAL_TOL, build_block_dilation, naimark_dilate, verify_dilation
     from .ovm import classify
 
-    doc = _load_doc(args.path)
-    ovm = load_ovm(doc)
+    doc, ovm = _load(args.path, load_ovm)
     flags = {
         "mode": "naimark" if args.naimark else "block",
         "tol": args.tol,
@@ -384,8 +427,7 @@ def cmd_framing_rescale(args) -> int:
     from .frames import frame_bounds, reconstruction_residual
     from .framings import apply_rescale, dual_pair_verdict, rescale_sqrt
 
-    doc = _load_doc(args.path)
-    framing = load_framing(doc)
+    doc, framing = _load(args.path, load_framing)
     flags = {"tol": args.tol}
     report = {
         "command": "framing-rescale",
@@ -523,6 +565,28 @@ def _load_doc(path: str):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load(path: str, loader):
+    """The document at `path` and the object `loader` builds from it.  A
+    domain error about its values, a ValueError other than SchemaError,
+    gains the path."""
+    doc = _load_doc(path)
+    try:
+        return doc, loader(doc)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _finite_flag(text: str) -> float:
+    """argparse type of a float flag: a finite number, rejected otherwise
+    with a message argparse puts after the flag's name."""
+    try:
+        return _finite_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilationkit",
@@ -536,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     frame.add_argument(
         "--dilate", action="store_true", help="dilate a Parseval frame to an ONB"
     )
-    frame.add_argument("--tol", type=_finite_float, default=1e-8, help=(
+    frame.add_argument("--tol", type=_finite_flag, default=1e-8, help=(
         "absolute check threshold: the Parseval flag and --dilate need both frame "
         "bounds within tol of 1 and ||S - I|| at most tol"))
     frame.set_defaults(handler=cmd_frame_analyze)
@@ -546,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = ovm.add_mutually_exclusive_group(required=True)
     mode.add_argument("--naimark", action="store_true", help="positive-measure dilation")
     mode.add_argument("--block", action="store_true", help="general block dilation")
-    ovm.add_argument("--tol", type=_finite_float, default=DEFAULT_REL_TOL, help=(
+    ovm.add_argument("--tol", type=_finite_flag, default=DEFAULT_REL_TOL, help=(
         "relative rank cutoff: an atom's singular values (eigenvalues under --naimark) "
         "at or below tol times its largest count as zero"))
     ovm.add_argument("--seed", type=int, default=0)
@@ -564,13 +628,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     framing = sub.add_parser("framing-rescale", help="norm-balancing rescale plan")
     framing.add_argument("path", help="framing JSON file")
-    framing.add_argument("--tol", type=_finite_float, default=1e-8, help=(
+    framing.add_argument("--tol", type=_finite_flag, default=1e-8, help=(
         "absolute check threshold on the reconstruction residual "
         "||sum_i x_i (x) y_i - I||, before and after the rescale"))
     framing.set_defaults(handler=cmd_framing_rescale)
 
     chl = sub.add_parser("chl5", help="sign-matrix framing sweep on l_p blocks")
-    chl.add_argument("--p", type=_finite_float, required=True, help="exponent, p > 1 and p != 2")
+    chl.add_argument("--p", type=_finite_flag, required=True, help="exponent, p > 1 and p != 2")
     chl.add_argument("--nmax", type=int, default=6, help="largest block level, <= 11")
     chl.add_argument("--trials", type=int, default=200,
                      help="accepted (>= 100) and has no effect: the sweep draws no sample")

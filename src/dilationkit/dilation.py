@@ -25,7 +25,7 @@ from .linalg import (
     psd_factor,
     spectral_norm,
 )
-from .ovm import Ovm
+from .ovm import Ovm, _self_adjoint_defects
 
 # The threshold verify_dilation certifies the eval residual against; a
 # caller checking DilationReport.eval_residual must use the same value.
@@ -159,10 +159,6 @@ class NaimarkDilation:
     isometry: np.ndarray
     block_ranks: tuple
 
-    @property
-    def total_dim(self) -> int:
-        return self.isometry.shape[0]
-
     def as_triple(self) -> DilationTriple:
         return DilationTriple(
             left=self.isometry.conj().T,
@@ -185,17 +181,18 @@ def naimark_dilate(ovm: Ovm, rel_tol: float = DEFAULT_REL_TOL) -> NaimarkDilatio
     ValueError
         If the measure is not square.
     NotPositive
-        If some atom is non-Hermitian or has a significantly negative
-        eigenvalue; carries the atom index.
+        For the first atom j, in index order, with ||E_j - E_j*|| > rel_tol *
+        max(1, ||E_j||) (ovm.classify's `self_adjoint_defect` at {j}) or with
+        an eigenvalue that linalg.psd_factor rejects at rel_tol; carries j.
     """
     if not ovm.is_square:
         raise ValueError("positive measures must be square")
+    herm = _self_adjoint_defects(ovm.atoms)
+    norms = _subsets.batched_spectral_norms(ovm.atoms)
     factors = []
-    for j in range(ovm.atom_count):
-        atom = ovm.atoms[j]
-        herm_defect = spectral_norm(atom - atom.conj().T)
-        if herm_defect > rel_tol * max(1.0, spectral_norm(atom)):
-            raise NotPositive(j, f"atom {j} is not Hermitian (defect {herm_defect:.3e})")
+    for j, atom in enumerate(ovm.atoms):
+        if herm[j] > rel_tol * max(1.0, norms[j]):
+            raise NotPositive(j, f"atom {j} is not Hermitian (defect {herm[j]:.3e})")
         try:
             v, _ = psd_factor(atom, rel_tol)
         except IndefiniteInput as exc:

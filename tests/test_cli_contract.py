@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -124,16 +125,66 @@ def check_contract(argv, doc):
         assert report["pass"] is (code == 0)
     else:
         assert code != 0
-        # numpy's overflow warnings may come first
         assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+    return code, out.getvalue(), err.getvalue()
+
+
+# (argv, document, the scale's factor as the message prints it)
+NEAR_OVERFLOW = [
+    (["ovm-dilate", "--block"], {"dim_in": 2, "dim_out": 2, "atoms": [[[1e308] * 2] * 2]}, "2"),
+    (["frame-analyze"], {"dim": 1, "vectors": [[1e308], [1e308]]}, "1.41421"),
+    (["ovm-dilate", "--naimark"],
+     {"dim_in": 2, "dim_out": 2, "atoms": [[[1e154, 0], [0, 1e154]]] * 2}, "4"),
+    (["frame-analyze", "--dual"], {"dim": 2, "vectors": [[1e155, 1e155], [1e155, 0]]}, "2"),
+    (["framing-rescale"], {"dim": 2, "pairs": [{"x": [1e154, 0], "y": [0, 1.0]},
+                                               {"x": [0, 1.0], "y": [1.0, 0]}]}, "2"),
+]
 
 
 @given(invocations)
-@example((["ovm-dilate", "--block"], {"dim_in": 2, "dim_out": 2, "atoms": [[[1e308] * 2] * 2]}))
-@example((["frame-analyze"], {"dim": 1, "vectors": [[1e308], [1e308]]}))
+@example(NEAR_OVERFLOW[0][:2])
+@example(NEAR_OVERFLOW[1][:2])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_every_document_keeps_the_exit_code_contract(invocation):
     check_contract(*invocation)
+
+
+@pytest.mark.parametrize("argv, doc, factor", NEAR_OVERFLOW)
+def test_near_overflow_input_exits_1_naming_file_scale_and_limit(argv, doc, factor):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = check_contract(argv, doc)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "input.json: input scale " in err
+    assert f"= {factor} * " in err and "exceeds the limit 2^511 = 6.704e+153" in err
+
+
+# 0.999 of the scale limit 2^511
+EDGE = 0.999 * 2.0**511
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        # one rank-one positive atom, n*d = 2
+        *[(["ovm-dilate", mode], {"dim_in": 2, "dim_out": 2, "atoms": [[[EDGE / 2] * 2] * 2]})
+          for mode in ("--block", "--naimark")],
+        # three 2x3 atoms, n*d = 9
+        (["ovm-dilate", "--block"], {"dim_in": 3, "dim_out": 2, "atoms": [
+            [[-EDGE / 9, EDGE / 9, 0.5], [EDGE / 9, 1.0, 0.0]]] * 3}),
+        # N*d = 4
+        (["frame-analyze", "--dual"], {"dim": 2, "vectors": [[EDGE / 2] * 2, [EDGE / 2, 0.0]]}),
+        (["framing-rescale"], {"dim": 2, "pairs": [
+            {"x": [EDGE / 2, 0.0], "y": [0.0, EDGE / 2]},
+            {"x": [EDGE / 2] * 2, "y": [EDGE / 2, -EDGE / 2]}]}),
+    ],
+)
+def test_input_just_under_the_limit_runs_without_a_warning(argv, doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = check_contract(argv, doc)
+    # a report is written; its absolute thresholds may fail at this scale
+    assert out and not err
 
 
 def run_flags(argv):
@@ -157,7 +208,8 @@ def test_non_finite_flags_exit_2_naming_the_flag(argv, flag, value):
     # "--tol=-inf": a bare "-inf" after the flag would parse as an option
     code, out, err = run_flags(argv[:-1] + [f"{argv[-1]}={value}"])
     assert code == 2 and not out
-    assert f"argument {flag}:" in err
+    assert f"argument {flag}: must be a finite number" in err
+    assert "_finite_float" not in err
 
 
 @pytest.mark.parametrize(

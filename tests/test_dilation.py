@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dilationkit import _subsets
+from dilationkit import _subsets, dilation
 from dilationkit import (
     AlphaNorm,
     DilationTriple,
@@ -26,6 +26,7 @@ from dilationkit import (
 from dilationkit.alpha import _atom_images
 
 from conftest import (
+    full_rank_povm,
     random_general_ovm,
     random_positive_probability_ovm,
     random_representation,
@@ -357,6 +358,36 @@ class TestNaimark:
         atoms = np.stack([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])])
         with pytest.raises(NotPositive):
             naimark_dilate(Ovm(atoms))
+
+    @pytest.mark.parametrize(
+        "first, index, message",
+        [
+            (np.diag([1.5, -0.5]), 0, "atom 0 is not positive semidefinite"),
+            (np.diag([0.5, 0.5]), 1, "atom 1 is not Hermitian"),
+        ],
+    )
+    def test_first_failing_atom_is_named(self, first, index, message):
+        # atom 1 is not Hermitian; atom 0 decides whether it is reached
+        atoms = np.stack([first, np.array([[0.5, 0.3], [0.0, 0.5]])])
+        with pytest.raises(NotPositive) as info:
+            naimark_dilate(Ovm(atoms))
+        assert info.value.index == index
+        assert str(info.value).startswith(message)
+
+    def test_atoms_are_checked_in_one_batched_pass(self, rng, monkeypatch):
+        calls = {"batched": 0, "single": 0}
+        batched, single = dilation._subsets.batched_spectral_norms, dilation.spectral_norm
+
+        def count(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dilation._subsets, "batched_spectral_norms", count("batched", batched))
+        monkeypatch.setattr(dilation, "spectral_norm", count("single", single))
+        naimark_dilate(full_rank_povm(rng, 16, 8))
+        assert calls == {"batched": 2, "single": 0}
 
     def test_non_square_rejected(self, rng):
         with pytest.raises(ValueError):
