@@ -165,15 +165,25 @@ def rescale_sqrt(framing: Framing) -> RescalePlan:
     Raises
     ------
     ZeroPair
-        If any pair has ||x_i|| * ||y_i|| = 0; the exception lists every
-        offending index.
+        If x_i or y_i is exactly zero; the exception lists every such index.
+    ValueError
+        If a nonzero pair's norm, or its ratio ||y_i|| / ||x_i||, underflows
+        to 0 or overflows; the message lists every such index.
     """
-    nx = np.linalg.norm(framing.x, axis=1)
-    ny = np.linalg.norm(framing.y, axis=1)
-    bad = np.flatnonzero(nx * ny == 0.0)
+    with np.errstate(all="ignore"):
+        ratio = np.linalg.norm(framing.y, axis=1) / np.linalg.norm(framing.x, axis=1)
+    # a ratio of 0, inf or nan comes from a zero side, or from a norm or a
+    # quotient outside the float range
+    bad = np.flatnonzero(~((ratio > 0.0) & (ratio < np.inf)))
     if bad.size:
-        raise ZeroPair(bad.tolist())
-    alphas = np.sqrt(ny / nx)
+        zero = [int(i) for i in bad if not (framing.x[i].any() and framing.y[i].any())]
+        if zero:
+            raise ZeroPair(zero)
+        raise ValueError(
+            f"pairs whose norm or norm ratio ||y_i|| / ||x_i|| leaves the float range "
+            f"at indices {bad.tolist()}"
+        )
+    alphas = np.sqrt(ratio)
     return RescalePlan(alphas=alphas, betas=1.0 / alphas)
 
 

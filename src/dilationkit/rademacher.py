@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import reconstruction_residual
 from .framings import Framing
-from .linalg import lp_norm, spectral_norm
+from .linalg import lp_norm
 
 MAX_LEVEL = 14  # keeps eps^T eps integer-exact in float64 well below 2^53
 # Boyd steps per start; at most 93 were taken for seven exponents p from 1.1
@@ -100,46 +99,6 @@ def bounds_stay_finite(p: float, n_max: int) -> bool:
 def project(block: RademacherBlock, x) -> np.ndarray:
     """P x = eps^T (eps x) / 2^n, for a vector or for each column of a matrix."""
     return block.eps.T @ (block.eps @ x) / (1 << block.n)
-
-
-def projection_idempotent(block: RademacherBlock) -> float:
-    """||P^2 - P||, computed from n x n matrices.
-
-    P^2 - P = eps^T (eps eps^T) eps / 4^n - eps^T eps / 2^n = eps^T M eps
-    with M = (eps eps^T - 2^n I) / 4^n.  With eps^T = Q R, Q (2^n x n)
-    having orthonormal columns, P^2 - P = Q (R M R^T) Q^T, whose spectral
-    norm is ||R M R^T||.  eps eps^T is integer-exact and 4^n a power of two,
-    so M, and with it the value, is exactly 0 when the rows of eps are
-    orthogonal with squared norm 2^n.
-    """
-    eps, n = block.eps, block.n
-    m = (eps @ eps.T - (1 << n) * np.eye(n, dtype=np.int64)) / float(1 << (2 * n))
-    r = np.linalg.qr(eps.T.astype(np.float64), mode="r")
-    return spectral_norm(r @ m @ r.T)
-
-
-def parseval_frame_vectors(block: RademacherBlock) -> np.ndarray:
-    """Rows f_j = 2^(-n/2) eps[:, j], the Parseval frame both rescaled sides
-    of the block framing collapse to."""
-    return (2.0 ** (-block.n / 2)) * block.eps.T.astype(np.float64)
-
-
-def parseval_check(block: RademacherBlock) -> float:
-    """||f^T f - I|| over the Parseval frame vectors f_j, an n x n spectral
-    norm: the exact supremum over unit h of |sum_j <h, f_j>^2 - ||h||^2|."""
-    f = parseval_frame_vectors(block)
-    return reconstruction_residual(f, f)
-
-
-def dual_side_check(block: RademacherBlock) -> float:
-    """Max deviation between the two expressions for the rescaled dual side:
-    alpha_i 2^(-n/q) eps[:, i] versus 2^(n(1/2 - 1/q)) r-side columns.
-    Both reduce to 2^(-n/2) eps[:, i]; the deviation is rounding only."""
-    n, q = block.n, block.q
-    cols = block.eps.T.astype(np.float64)
-    left = block.alphas[0] * (2.0 ** (-n / q)) * cols
-    right = (2.0 ** (n * (0.5 - 1.0 / q))) * (2.0 ** (-n / block.p)) * cols
-    return float(np.abs(left - right).max())
 
 
 def projection_ratio(block: RademacherBlock, x) -> float:

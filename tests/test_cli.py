@@ -421,6 +421,40 @@ class TestChl5:
         assert names["projection_norm_monotone"]["pass"]
         assert report["artifacts"]["pair_count"] == sum(1 << n for n in range(1, 9))
 
+    def test_check_names_in_order(self, capsys):
+        code, report, _ = run(capsys, "chl5", "--p", "4", "--nmax", "3")
+        assert code == 0
+        per_level = ("sign_orthogonality", "projection_fixes_r", "r_norm_defect",
+                     "projection_norm_bounded")
+        closing = ["projection_norm_monotone", "assembled_reconstruction_residual",
+                   "assembled_rescaled_parseval_residual", "assembled_dual_pair_verdict"]
+        names = [c["name"] for c in report["checks"]]
+        assert names == [f"n{n}_{name}" for n in range(1, 4) for name in per_level] + closing
+
+    def test_flipped_sign_fails_orthogonality_at_its_level(self, capsys, monkeypatch):
+        # sign orthogonality is each level's one exact identity: P^2 = P and
+        # the rescaled sides' Parseval property follow from it
+        exact = rademacher.sign_matrix
+
+        def flipped(n):
+            eps = exact(n)
+            if n >= 3:
+                eps[0, 1] = -eps[0, 1]
+            return eps
+
+        monkeypatch.setattr(rademacher, "sign_matrix", flipped)
+        code, report, _ = run(capsys, "chl5", "--p", "4", "--nmax", "4")
+        assert code == 1
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["n2_sign_orthogonality"]["value"] == 0.0
+        assert checks["n3_sign_orthogonality"]["value"] == 2.0
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == [
+            "n3_sign_orthogonality", "n3_projection_fixes_r", "n3_projection_norm_bounded",
+            "n4_sign_orthogonality", "n4_projection_fixes_r", "projection_norm_monotone",
+            "assembled_reconstruction_residual", "assembled_rescaled_parseval_residual",
+            "assembled_dual_pair_verdict",
+        ]
+
     def test_exponent_two_rejected(self, capsys):
         code, report, err = run(capsys, "chl5", "--p", "2")
         assert code == 2

@@ -187,6 +187,26 @@ def test_input_just_under_the_limit_runs_without_a_warning(argv, doc):
     assert out and not err
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        # ||y|| / ||x|| = 1e313 overflows
+        ([{"x": [1e-160], "y": [1e153]}], "leaves the float range at indices [0]"),
+        # ||y|| underflows to 0 although y is not zero
+        ([{"x": [1e153], "y": [1e-175]}], "leaves the float range at indices [0]"),
+        # only an exactly zero side is a zero pair
+        ([{"x": [1e153], "y": [1e-175]}, {"x": [0.0], "y": [1.0]}],
+         "ZeroPair: pairs with zero norm product at indices [1]"),
+    ],
+)
+def test_rescale_outside_the_float_range_exits_1_naming_the_pair(pairs, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = check_contract(["framing-rescale"], {"dim": 1, "pairs": pairs})
+    assert code == 1 and not out
+    assert message in err
+
+
 def run_flags(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -17,12 +16,8 @@ from dilationkit.rademacher import (
     balanced_ratios,
     bounds_stay_finite,
     build_block,
-    dual_side_check,
     khintchine_report,
-    parseval_check,
-    parseval_frame_vectors,
     project,
-    projection_idempotent,
     projection_norm_bounds,
     projection_ratio,
     sign_matrix,
@@ -137,21 +132,6 @@ class TestProjectionAgainstDense:
             npt.assert_allclose(project(block, x), dense @ x, rtol=1e-12, atol=1e-14)
             npt.assert_allclose(project(block, x[:, 0]), dense @ x[:, 0], rtol=1e-12, atol=1e-14)
 
-    def test_idempotent_qr_form_matches_dense_norm(self):
-        for n in range(1, 9):
-            block = build_block(n, 4.0)
-            assert projection_idempotent(block) == 0.0
-            if n == 1:
-                continue  # any 1 x 2 sign row has squared norm 2
-            for j in (0, (1 << n) - 1):
-                flipped = block.eps.copy()
-                flipped[0, j] = -flipped[0, j]
-                dense = dense_projection(flipped)
-                expected = spectral_norm(dense @ dense - dense)
-                value = projection_idempotent(dataclasses.replace(block, eps=flipped))
-                assert expected > 0.0
-                assert abs(value - expected) <= 1e-12 * expected
-
     def test_first_coordinate_vector_attains_every_column_ratio(self):
         for p in P_VALUES:
             for n in range(1, 9):
@@ -167,10 +147,7 @@ class TestProjectionAgainstDense:
         tracemalloc.start()
         try:
             block = build_block(11, 4.0)
-            assert projection_idempotent(block) == 0.0
             assert np.abs(project(block, block.r.T) - block.r.T).max() <= 1e-10
-            assert parseval_check(block) <= 1e-9
-            assert dual_side_check(block) <= 1e-12
             khintchine_report(block)
             lower, upper, _ = projection_norm_bounds(block)
             assert 1.0 < lower <= upper
@@ -178,24 +155,6 @@ class TestProjectionAgainstDense:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
-
-
-class TestParsevalSide:
-    def test_frame_vectors_shape(self):
-        block = build_block(3, 4.0)
-        f = parseval_frame_vectors(block)
-        assert f.shape == (8, 3)
-        npt.assert_allclose(f.T @ f, np.eye(3), atol=1e-12)
-
-    def test_parseval_check_small(self):
-        for p in (4.0, 1.5):
-            for n in (1, 2, 5):
-                assert parseval_check(build_block(n, p)) <= 1e-9
-
-    def test_dual_side_agreement(self):
-        for p in P_VALUES:
-            for n in range(1, 9):
-                assert dual_side_check(build_block(n, p)) <= 1e-12
 
 
 class TestProjectionEvidence:
