@@ -106,7 +106,7 @@ class AlphaNorm:
     witness: int
 
 
-def alpha_norm(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_TERM_LIMIT) -> AlphaNorm:
+def alpha_norm(ovm: Ovm, rep: Representation) -> AlphaNorm:
     """Exact alpha functional sup_B || sum_i coeffs[i] E(B intersect masks[i]) vectors[i] ||.
 
     The supremum is over all subsets; by additivity it reduces to the largest
@@ -116,15 +116,16 @@ def alpha_norm(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_TERM_LIM
     Raises
     ------
     ExactModeTooLarge
-        If more than `exact_limit` atoms have nonzero images; use
+        If more than _EXACT_TERM_LIMIT atoms have nonzero images; use
         alpha_norm_bounds for certified two-sided bounds instead.
     """
     _check_rep(ovm, rep)
     images = _atom_images(ovm, rep)
     nonzero = np.flatnonzero(images.any(axis=1)).tolist()
-    if len(nonzero) > exact_limit:
+    if len(nonzero) > _EXACT_TERM_LIMIT:
         raise ExactModeTooLarge(
-            f"{len(nonzero)} nonzero atoms exceed the exact enumeration ceiling {exact_limit}"
+            f"{len(nonzero)} nonzero atoms exceed the exact enumeration ceiling "
+            f"{_EXACT_TERM_LIMIT}"
         )
     _, reduced = _subsets.max_subset_norm(images[nonzero])
     # dropping the zero-image atoms keeps the order of masks, so the
@@ -173,7 +174,7 @@ def alpha_norm_bounds(ovm: Ovm, rep: Representation) -> AlphaBounds:
     return AlphaBounds(lower=lower, upper=float(norms.sum()), witness=witness)
 
 
-def omega_upper_bound(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_TERM_LIMIT) -> float:
+def omega_upper_bound(ovm: Ovm, rep: Representation) -> float:
     """Representation-dependent upper bound for the omega functional:
     the sum over terms of sup_B || coeffs[i] E(B intersect masks[i]) vectors[i] ||.
 
@@ -184,7 +185,7 @@ def omega_upper_bound(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_T
     Raises
     ------
     ExactModeTooLarge
-        If a term touches more than `exact_limit` atoms with nonzero images.
+        If a term touches more than _EXACT_TERM_LIMIT atoms with nonzero images.
     """
     _check_rep(ovm, rep)
     total = 0.0
@@ -192,7 +193,7 @@ def omega_upper_bound(ovm: Ovm, rep: Representation, exact_limit: int = _EXACT_T
         single = Representation(
             rep.coeffs[i : i + 1], (rep.masks[i],), rep.vectors[i : i + 1]
         )
-        total += alpha_norm(ovm, single, exact_limit).value
+        total += alpha_norm(ovm, single).value
     return total
 
 

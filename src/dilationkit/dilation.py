@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _subsets
-from ._subsets import _EXHAUSTIVE_ATOM_LIMIT
 from .errors import IndefiniteInput, NotPositive
 from .linalg import (
     DEFAULT_REL_TOL,
@@ -235,7 +234,6 @@ def verify_dilation(
     triple: DilationTriple,
     *,
     seed: int = 0,
-    max_exhaustive_atoms: int = _EXHAUSTIVE_ATOM_LIMIT,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> DilationReport:
     """Measure how well a triple dilates a measure; raises nothing on bad
@@ -247,9 +245,9 @@ def verify_dilation(
     residual is at most sum_j ||Delta_j||, while the empty set, the
     singletons and the full set give genuine values.  Only when EVAL_TOL
     lies between the two are subsets enumerated: exhaustively for measures
-    with at most `max_exhaustive_atoms` atoms, above that on the subsets
-    _subsets.sample_masks draws from `seed`.  The `sampled` flag records
-    that the atom count is above the limit.
+    with at most _subsets._EXHAUSTIVE_ATOM_LIMIT (16) atoms, above that on
+    the subsets _subsets.sample_masks draws from `seed`.  The `sampled` flag
+    records that the atom count is above the limit.
 
     right @ left needs no idempotence check of its own.  With
     g = right @ left, g @ g - g = right @ (left @ right - I) @ left, so
@@ -262,7 +260,7 @@ def verify_dilation(
     if triple.dim_out != ovm.dim_out or triple.dim_in != ovm.dim_in:
         raise ValueError("triple and measure have mismatched dimensions")
     deltas = ovm.atoms - triple.atom_products()
-    sampled = ovm.atom_count > max_exhaustive_atoms
+    sampled = ovm.atom_count > _subsets._EXHAUSTIVE_ATOM_LIMIT
     residual = _subsets.Statistic(
         "eval_residual",
         _subsets.batched_spectral_norms,

@@ -162,7 +162,9 @@ def dilate_parseval_to_onb(frame: Frame, tol: float = 1e-8) -> OnbDilation:
     Raises
     ------
     NotParseval
-        If the frame operator deviates from the identity beyond `tol`.
+        If the frame operator deviates from the identity beyond `tol`, or
+        the frame does not span, so that R of theta = QR has a zero
+        diagonal entry and Q has no phase to fix.
     """
     residual = reconstruction_residual(frame.vectors, frame.vectors)
     if residual > tol:
@@ -170,6 +172,8 @@ def dilate_parseval_to_onb(frame: Frame, tol: float = 1e-8) -> OnbDilation:
     theta = analysis_operator(frame)
     q, r = np.linalg.qr(theta)
     diag = np.diagonal(r)
+    if not diag.all():
+        raise NotParseval("frame does not span: R of its QR has a zero diagonal entry")
     phases = diag / np.abs(diag)
     q = q * phases.conj()[None, :]
     return OnbDilation(embedding=q, parseval_residual=residual)

@@ -159,6 +159,19 @@ class RescalePlan:
         object.__setattr__(self, "betas", betas)
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Row 2-norms.  Below 2^-511 a norm's square leaves the normal range
+    and np.linalg.norm loses bits to subnormal squares, so such a row is
+    divided by its largest |entry| first; other rows keep the unscaled bits."""
+    norms = np.linalg.norm(a, axis=1)
+    low = np.flatnonzero(norms < 2.0**-511)
+    if low.size:
+        scale = np.abs(a[low]).max(axis=1)
+        scale[scale == 0.0] = 1.0  # a zero row keeps norm 0
+        norms[low] = scale * np.linalg.norm(a[low] / scale[:, None], axis=1)
+    return norms
+
+
 def rescale_sqrt(framing: Framing) -> RescalePlan:
     """Norm-balancing plan with alphas[i] = (||y_i|| / ||x_i||) ** 0.5.
 
@@ -171,7 +184,7 @@ def rescale_sqrt(framing: Framing) -> RescalePlan:
         to 0 or overflows; the message lists every such index.
     """
     with np.errstate(all="ignore"):
-        ratio = np.linalg.norm(framing.y, axis=1) / np.linalg.norm(framing.x, axis=1)
+        ratio = _row_norms(framing.y) / _row_norms(framing.x)
     # a ratio of 0, inf or nan comes from a zero side, or from a norm or a
     # quotient outside the float range
     bad = np.flatnonzero(~((ratio > 0.0) & (ratio < np.inf)))

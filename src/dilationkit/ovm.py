@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _subsets
-from ._subsets import _EXHAUSTIVE_ATOM_LIMIT
 from .errors import AtomRankTooHigh
 from .linalg import DEFAULT_REL_TOL, numerical_rank, outer_pair, spectral_norm
 
@@ -100,23 +99,17 @@ class OvmClassification:
     subset_sup: dict = field(default_factory=dict)
 
 
-def classify(
-    ovm: Ovm,
-    tol: float = 1e-10,
-    *,
-    seed: int = 0,
-    max_exhaustive_atoms: int = _EXHAUSTIVE_ATOM_LIMIT,
-) -> OvmClassification:
+def classify(ovm: Ovm, tol: float = 1e-10, *, seed: int = 0) -> OvmClassification:
     """Classify a measure by the suprema of its subset statistics.
 
     Each supremum is certified from the atoms when the atom-level bounds
     decide it (see the statistic functions below for the proofs), and only
     otherwise enumerated over all 2^n subsets.  Above
-    `max_exhaustive_atoms` atoms, as in verify_dilation, `sampled` is set and
-    the statistics left open are taken over the subsets that
-    _subsets.sample_masks draws from `seed` instead.
+    _subsets._EXHAUSTIVE_ATOM_LIMIT (16) atoms, as in verify_dilation,
+    `sampled` is set and the statistics left open are taken over the subsets
+    that _subsets.sample_masks draws from `seed` instead.
     """
-    sampled = ovm.atom_count > max_exhaustive_atoms
+    sampled = ovm.atom_count > _subsets._EXHAUSTIVE_ATOM_LIMIT
     atoms = ovm.atoms
     total = ovm.evaluate(ovm.full_mask)
     norm_bound = float(_subsets.batched_spectral_norms(atoms).sum())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dilationkit
-from dilationkit import rademacher
+from dilationkit import dilation, rademacher
 from dilationkit.cli import (
     _digest,
     _encode_array,
@@ -21,6 +21,7 @@ from dilationkit.cli import (
     load_ovm,
     main,
 )
+from dilationkit.dilation import DilationTriple
 from dilationkit.frames import reconstruction_residual
 from dilationkit.framings import (
     apply_rescale,
@@ -212,6 +213,7 @@ class TestOvmDilate:
         assert names["isometry_gram_residual"]["value"] <= 1e-10
         assert names["eval_residual"]["pass"]
         assert names["rank_preservation"]["pass"]
+        assert "witness" not in names["rank_preservation"]
         cls = report["artifacts"]["classification"]
         assert cls["is_positive"] is True
         assert cls["is_probability"] is True
@@ -252,6 +254,29 @@ class TestOvmDilate:
         code, report, _ = run(capsys, "ovm-dilate", povm, mode)
         assert code == 0
         assert [c["name"] for c in report["checks"]] == names
+
+    def test_rank_failure_names_the_first_mismatched_atom(self, capsys, tmp_path, monkeypatch):
+        build = dilation.build_block_dilation
+
+        def drop_one_coordinate(ovm, **kwargs):
+            # block 1 loses its first coordinate, so only atom 1's ranks differ
+            triple = build(ovm, **kwargs)
+            ranks = list(triple.block_ranks)
+            keep = [i for i in range(triple.total_dim) if i != ranks[0]]
+            ranks[1] -= 1
+            return DilationTriple(triple.left[:, keep], triple.right[keep], tuple(ranks))
+
+        monkeypatch.setattr(dilation, "build_block_dilation", drop_one_coordinate)
+        doc = {"dim_in": 2, "dim_out": 2, "atoms": [np.diag([1.0, 0.0]).tolist(),
+                                                    np.eye(2).tolist(),
+                                                    np.diag([0.0, 1.0]).tolist()]}
+        code, report, _ = run(capsys, "ovm-dilate", write_doc(tmp_path / "m.json", doc), "--block")
+        assert code == 1
+        assert report["artifacts"]["block_ranks"] == [1, 1, 1]
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["rank_preservation"]["witness"] == {"atom": 1}
+        assert not checks["rank_preservation"]["pass"]
+        assert "witness" not in checks["eval_residual"]
 
     def test_indefinite_naimark_rejected(self, capsys, indefinite):
         code, report, err = run(capsys, "ovm-dilate", indefinite, "--naimark")
@@ -324,12 +349,7 @@ class TestOvmDilate:
                 sups["eval_residual"]["upper"],
             )
 
-    def test_max_atoms_override_prints_cost(self, capsys, povm):
-        code, _, err = run(capsys, "ovm-dilate", povm, "--block", "--max-atoms", "8")
-        assert code == 0
-        assert "2^2" in err and "overridden" in err
-
-    def test_max_atoms_note_counts_examined_subsets(self, capsys, tmp_path):
+    def test_full_rank_povm_is_certified_from_18_subsets(self, capsys, tmp_path):
         # every statistic of a full-rank POVM is certified from the empty
         # set, the 16 singletons and the full set
         ovm = full_rank_povm(np.random.default_rng(7), 16, 3)
@@ -339,11 +359,12 @@ class TestOvmDilate:
             "atoms": [[[[v.real, v.imag] for v in row] for row in atom] for atom in ovm.atoms],
         }
         path = write_doc(tmp_path / "povm16.json", doc)
-        code, report, err = run(capsys, "ovm-dilate", path, "--naimark", "--max-atoms", "20")
+        code, report, err = run(capsys, "ovm-dilate", path, "--naimark")
         assert code == 0
-        assert "examined at most 18 of 2^16 = 65536 subsets" in err
-        assert "overridden to 20" in err
-        assert {s["mode"] for s in report["artifacts"]["subset_sup"].values()} == {"certified"}
+        assert err == ""
+        sups = report["artifacts"]["subset_sup"].values()
+        assert {s["mode"] for s in sups} == {"certified"}
+        assert max(s["subsets_examined"] for s in sups) == 18
 
     def test_complex_atoms(self, capsys, tmp_path):
         # (I + sigma_y) / 2 and its complement, rank-one positive atoms
@@ -640,6 +661,12 @@ class TestParsing:
         text = " ".join(capsys.readouterr().out.split())
         # the options list follows the usage line
         assert text[text.rindex("--tol TOL "):].startswith("--tol TOL " + meaning)
+
+    def test_ovm_dilate_help_states_the_fixed_exhaustive_limit(self, capsys):
+        assert main(["ovm-dilate", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "when the measure has more than 16 atoms" in text
+        assert "--max-atoms" not in text
 
     def test_no_subcommand(self, capsys):
         assert run(capsys, )[0] == 2

@@ -207,6 +207,17 @@ def test_rescale_outside_the_float_range_exits_1_naming_the_pair(pairs, message)
     assert message in err
 
 
+def test_dilating_a_frame_that_does_not_span_exits_1_without_a_warning():
+    # tol = 2 admits ||S - I|| = 1, so the QR's zero diagonal is reached
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = check_contract(
+            ["frame-analyze", "--dilate", "--tol", "2"], {"dim": 2, "vectors": [[1, 0], [0, 0]]}
+        )
+    assert code == 1 and not out
+    assert err == "error: NotParseval: frame does not span: R of its QR has a zero diagonal entry\n"
+
+
 def run_flags(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -230,6 +241,15 @@ def test_non_finite_flags_exit_2_naming_the_flag(argv, flag, value):
     assert code == 2 and not out
     assert f"argument {flag}: must be a finite number" in err
     assert "_finite_float" not in err
+
+
+def test_removed_max_atoms_flag_exits_2_as_unrecognized(tmp_path):
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps({"dim_in": 1, "dim_out": 1, "atoms": [[[1.0]]]}), encoding="utf-8")
+    code, out, err = run_flags(["ovm-dilate", str(path), "--block", "--max-atoms", "8"])
+    assert code == 2 and not out
+    assert "unrecognized arguments: --max-atoms 8" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

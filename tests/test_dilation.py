@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dilationkit import _subsets, dilation
+from dilationkit import _subsets, alpha, dilation
 from dilationkit import (
     AlphaNorm,
     DilationTriple,
@@ -98,10 +98,13 @@ class TestAlphaNorm:
             images = _atom_images(v, rep)
             assert np.linalg.norm(images - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_witness_skips_zero_images(self):
+    def test_witness_skips_zero_images(self, monkeypatch):
+        # the zero image is dropped before the ceiling is compared, so one
+        # nonzero atom fits a ceiling of 1
         v = Ovm(np.array([[[0.0]], [[1.0]]]))
         rep = Representation.from_terms([(1.0, 0b11, [1.0])])
-        result = alpha_norm(v, rep, exact_limit=1)
+        monkeypatch.setattr(alpha, "_EXACT_TERM_LIMIT", 1)
+        result = alpha_norm(v, rep)
         assert result.value == 1.0
         assert result.witness == 0b10
 
@@ -139,10 +142,14 @@ class TestAlphaNorm:
         assert alpha_norm(v, combined).value <= a1 + a2 + 1e-12
 
     def test_exact_ceiling(self, rng):
-        v = random_general_ovm(rng, 5, 2, 2)
-        rep = random_representation(rng, v, 2)
+        # 25 atoms with nonzero images exceed the ceiling of 24; the check
+        # comes before any enumeration
+        v = random_general_ovm(rng, 25, 2, 2)
+        rep = Representation.from_terms([(1.0, (1 << 25) - 1, [1.0, 1.0])])
+        with pytest.raises(ExactModeTooLarge, match="25 nonzero atoms exceed .* 24"):
+            alpha_norm(v, rep)
         with pytest.raises(ExactModeTooLarge):
-            alpha_norm(v, rep, exact_limit=3)
+            omega_upper_bound(v, rep)
 
     def test_vector_dimension_checked(self):
         rep = Representation.from_terms([(1.0, 1, [1.0, 0.0])])

@@ -189,6 +189,9 @@ class TestRescaling:
         nx = np.linalg.norm(g.x, axis=1)
         ny = np.linalg.norm(g.y, axis=1)
         npt.assert_allclose(nx, ny, rtol=1e-12)
+        # in-range rows keep the bits of the unscaled norms
+        ratio = np.linalg.norm(f.y, axis=1) / np.linalg.norm(f.x, axis=1)
+        npt.assert_array_equal(plan.alphas, np.sqrt(ratio))
 
     def test_e11_rescale_is_parseval(self):
         f = example_e11(4)
@@ -206,6 +209,15 @@ class TestRescaling:
             before = np.outer(f.x[i], f.y[i].conj())
             after = np.outer(g.x[i], g.y[i].conj())
             assert np.abs(before - after).max() <= 1e-12
+
+    def test_pair_with_subnormal_square_balances(self):
+        # ||x||^2 = 1e-320 is subnormal, and np.linalg.norm alone gives 9.99994e-161
+        f = Framing([[1e-160], [1.0]], [[1e-150], [4.0]])
+        g = apply_rescale(f, rescale_sqrt(f))
+        nx, ny = abs(g.x[0, 0]), abs(g.y[0, 0])
+        assert abs(nx - ny) <= 4 * np.spacing(ny)
+        assert nx == pytest.approx(1e-155, rel=1e-15)
+        assert g.x[1, 0] == 2.0 and g.y[1, 0] == 2.0
 
     def test_zero_pair_reported_with_indices(self):
         f = Framing([[1.0], [0.0], [0.0]], [[1.0], [0.0], [0.0]])

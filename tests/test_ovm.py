@@ -164,24 +164,28 @@ class TestClassify:
         assert c.is_projection_valued
         assert c.is_spectral
 
-    def test_exhaustive_limit(self):
+    def test_exhaustive_limit(self, monkeypatch):
         # above the limit classify samples, as verify_dilation does
-        atoms = np.full((17, 1, 1), 1.0 / 17)
-        v = Ovm(atoms)
+        assert not classify(Ovm(np.full((16, 1, 1), 1.0 / 16))).sampled
+        v = Ovm(np.full((17, 1, 1), 1.0 / 17))
         c = classify(v)
         assert c.sampled
         assert c.is_probability
-        assert not classify(v, max_exhaustive_atoms=17).sampled
+        monkeypatch.setattr(_subsets, "_EXHAUSTIVE_ATOM_LIMIT", 17)
+        assert not classify(v).sampled
 
-    def test_lowered_limit(self):
+    def test_lowered_limit(self, monkeypatch):
+        # the limit is read at call time, so a patched constant takes effect
         v = Ovm(np.full((5, 1, 1), 0.2))
-        assert classify(v, max_exhaustive_atoms=4).sampled
-        c = classify(v, max_exhaustive_atoms=5)
-        assert not c.sampled
+        monkeypatch.setattr(_subsets, "_EXHAUSTIVE_ATOM_LIMIT", 4)
+        assert classify(v).sampled
+        monkeypatch.setattr(_subsets, "_EXHAUSTIVE_ATOM_LIMIT", 5)
+        assert not classify(v).sampled
 
-    def test_sampled_catches_singleton_violation(self):
+    def test_sampled_catches_singleton_violation(self, monkeypatch):
         v = Ovm(np.stack([np.diag([-1.0, 0.0])] + [np.diag([0.5, 0.25])] * 4))
-        c = classify(v, max_exhaustive_atoms=0)
+        monkeypatch.setattr(_subsets, "_EXHAUSTIVE_ATOM_LIMIT", 0)
+        c = classify(v)
         assert c.sampled
         assert not c.is_positive
 

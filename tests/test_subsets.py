@@ -157,7 +157,8 @@ class TestClassifyAgainstBruteForce:
         ovm = random_measure(*params)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_subsets, "_SAMPLE_COUNT", 0)
-            cls = classify(ovm, tol=math.inf, max_exhaustive_atoms=0)
+            patch.setattr(_subsets, "_EXHAUSTIVE_ATOM_LIMIT", 0)
+            cls = classify(ovm, tol=math.inf)
         for name, reference in reference_maxima(ovm).items():
             sup = cls.subset_sup[name]
             assert sup.mode in ("certified", "sampled")
