@@ -5,7 +5,7 @@ files, run the library constructions, and print a deterministic report:
 sorted keys, no timestamps, all randomness drawn from --seed.  Exit code 0
 means every check passed, 1 means a check failed or a domain error occurred,
 2 means the invocation or an input file could not be parsed, or the output
-file could not be written.
+file or standard output could not be written.
 
 Input schemas (entries are bare reals or [re, im] pairs):
   frame    {"dim": d, "vectors": [vector, ...]}
@@ -16,6 +16,8 @@ Input schemas (entries are bare reals or [re, im] pairs):
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
 import math
 import os
@@ -286,6 +288,9 @@ def _write_json_atomic(path: str, doc) -> None:
     # write through a symlink, as open(path, "w") would: the link's target
     # is replaced and the link kept
     target = os.path.realpath(path)
+    # os.replace would fail only after mkstemp made a file in target's parent
+    if os.path.isdir(target):
+        raise SchemaError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
@@ -303,7 +308,8 @@ def _write_json_atomic(path: str, doc) -> None:
         os.chmod(tmp, mode)
         os.replace(tmp, target)
     except OSError as exc:
-        raise SchemaError(f"cannot write {path}: {exc}") from exc
+        # exc's own text names the temporary file, which differs between runs
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -635,5 +641,27 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry of `python -m dilationkit.cli` and of the `dilationkit`
+    console script: main's exit code, with the report flushed.
+
+    The heap is frozen once main returns, so the collections of interpreter
+    shutdown skip every object the call imported or created; main itself
+    leaves the collector alone.  A standard output closed by its reader
+    exits 2 with an error line instead of a traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; give that flush a sink
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before the report was written", file=sys.stderr)
+        code = 2
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import dilationkit
-from dilationkit import dilation, rademacher
+from dilationkit import cli, dilation, rademacher
 from dilationkit.cli import (
     _digest,
     _encode_array,
@@ -313,7 +314,19 @@ class TestOvmDilate:
         code, report, err = run(capsys, "ovm-dilate", povm, "--naimark", "--output", str(out))
         assert code == 2
         assert report is None
-        assert err.startswith(f"error: cannot write {out}")
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_output_onto_a_directory(self, capsys, tmp_path, povm):
+        out = tmp_path / "reports"
+        out.mkdir()
+        errs = []
+        for _ in range(2):
+            code, report, err = run(capsys, "ovm-dilate", povm, "--naimark", "--output", str(out))
+            assert code == 2
+            assert report is None
+            errs.append(err)
+        assert errs[0] == errs[1] == f"error: cannot write {out}: Is a directory\n"
         assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_integer_too_large_for_a_float(self, capsys, tmp_path):
@@ -752,3 +765,45 @@ class TestReportShape:
         for check in report["checks"]:
             assert set(check) == {"name", "value", "threshold", "pass"}
             assert isinstance(check["value"], float)
+
+
+class TestProcessEntry:
+    def env(self):
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def test_run_freezes_the_heap_after_main_returns(self, monkeypatch):
+        calls = []
+
+        def fake_main():
+            calls.append("main")
+            return 7
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.run() == 7
+        assert calls == ["main", "freeze"]
+
+    def test_main_leaves_the_collector_alone(self, capsys, povm):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert run(capsys, "ovm-dilate", povm, "--naimark")[0] == 0
+        assert run(capsys, "chl5", "--p", "4", "--nmax", "3")[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_process_writes_what_main_writes(self, capsys, tmp_path, povm):
+        out = tmp_path / "triple.json"
+        argv = ["ovm-dilate", povm, "--naimark", "--output", str(out)]
+        assert main(argv) == 0
+        report, triple = capsys.readouterr().out.encode("utf-8"), out.read_bytes()
+        out.unlink()
+        proc = subprocess.run([sys.executable, "-m", "dilationkit.cli", *argv],
+                              env=self.env(), capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stdout == report
+        assert out.read_bytes() == triple
+
+    def test_help_exits_0(self):
+        proc = subprocess.run([sys.executable, "-m", "dilationkit.cli", "--help"],
+                              env=self.env(), capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: dilationkit")

@@ -11,6 +11,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dilationkit
 from dilationkit.cli import main
 
 reals = st.one_of(
@@ -269,3 +272,22 @@ def test_chl5_exponents_at_the_float_range_edge_give_finite_bounds(p, nmax):
     levels = json.loads(out, parse_constant=reject_constant)["artifacts"]["levels"]
     assert len(levels) == nmax
     assert all(math.isfinite(v) for level in levels.values() for v in level.values())
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_2_without_a_traceback(unbuffered):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dilationkit.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "dilationkit.cli", "chl5", "--p", "4", "--nmax", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        # the reader leaves before the report is written
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8")
+    assert proc.returncode == 2
+    assert "Traceback" not in err
+    assert err == "error: standard output closed before the report was written\n"

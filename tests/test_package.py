@@ -44,3 +44,12 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split("\n")[:3] == ["True", "[]", "True False"]
+
+
+def test_console_script_is_the_process_entry():
+    # read as text: tomllib is absent on Python 3.10
+    pyproject = os.path.join(os.path.dirname(SRC), "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as handle:
+        lines = [line.strip() for line in handle]
+    assert lines[lines.index("[project.scripts]") + 1] == 'dilationkit = "dilationkit.cli:run"'
+    assert callable(importlib.import_module("dilationkit.cli").run)
